@@ -12,7 +12,7 @@ import json
 from typing import Iterable, Iterator, Optional
 
 from ..errors import AdmParseError
-from .types import Datatype, FieldType, TypeTag
+from .types import Datatype
 from .values import Circle, DateTime, Duration, Point, Rectangle
 
 
@@ -32,8 +32,8 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
             f"expected a JSON object record, got {type(raw).__name__}"
         )
     if datatype is not None:
-        raw = coerce_record(raw, datatype)
-        datatype.validate(raw)
+        # ``raw`` is fresh from json.loads, so it is coerced in place
+        datatype.compiled().coerce_and_validate(raw)
     return raw
 
 
@@ -48,41 +48,13 @@ def parse_json_lines(
 
 
 def coerce_record(record: dict, datatype: Datatype) -> dict:
-    """Coerce string/array-encoded extended values using declared types."""
+    """Coerce string/array-encoded extended values using declared types.
+
+    Returns a coerced copy; the caller's ``record`` is left unchanged.
+    """
     out = dict(record)
-    for fname, ftype in datatype.fields.items():
-        if fname in out and out[fname] is not None:
-            out[fname] = _coerce_value(out[fname], ftype)
+    datatype.compiled().coerce(out)
     return out
-
-
-def _coerce_value(value, ftype: FieldType):
-    tag = ftype.tag
-    if tag is TypeTag.DATETIME and isinstance(value, str):
-        return DateTime.parse(value)
-    if tag is TypeTag.DURATION and isinstance(value, str):
-        return Duration.parse(value)
-    if tag is TypeTag.POINT and isinstance(value, (list, tuple)) and len(value) == 2:
-        return Point(float(value[0]), float(value[1]))
-    if (
-        tag is TypeTag.RECTANGLE
-        and isinstance(value, (list, tuple))
-        and len(value) == 4
-    ):
-        return Rectangle(*(float(v) for v in value))
-    if tag is TypeTag.CIRCLE and isinstance(value, (list, tuple)) and len(value) == 3:
-        return Circle(Point(float(value[0]), float(value[1])), float(value[2]))
-    if tag is TypeTag.DOUBLE and isinstance(value, int):
-        return float(value)
-    if tag is TypeTag.ARRAY and isinstance(value, list) and ftype.item is not None:
-        return [_coerce_value(v, ftype.item) for v in value]
-    if (
-        tag is TypeTag.OBJECT
-        and isinstance(value, dict)
-        and ftype.object_type is not None
-    ):
-        return coerce_record(value, ftype.object_type)
-    return value
 
 
 class _AdmEncoder(json.JSONEncoder):

@@ -7,8 +7,9 @@ objects, yielding MISSING when a step is absent — matching SQL++ semantics.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
+from ..errors import AdmTypeError
 from .types import Datatype, FieldType, TypeTag
 from .values import MISSING
 
@@ -72,18 +73,39 @@ def split_path(path: PathLike) -> Tuple[str, ...]:
     return tuple(path)
 
 
-def field_path(record, path: PathLike):
-    """Navigate a dotted path through a record; absent steps yield MISSING."""
+def _walk(record, steps: Tuple[str, ...]):
     current = record
-    for step in split_path(path):
-        if isinstance(current, dict):
-            if step in current:
-                current = current[step]
-            else:
-                return MISSING
+    for step in steps:
+        if isinstance(current, dict) and step in current:
+            current = current[step]
         else:
             return MISSING
     return current
+
+
+def field_path(record, path: PathLike):
+    """Navigate a dotted path through a record; absent steps yield MISSING."""
+    return _walk(record, split_path(path))
+
+
+def path_getter(path: PathLike) -> Callable[[object], object]:
+    """``field_path`` for one fixed ``path``, with the path split once.
+
+    Hot callers (hash-table builds, index maintenance, primary-key
+    extraction) hold the returned function rather than re-splitting the
+    dotted string for every record.
+    """
+    steps = split_path(path)
+    if len(steps) != 1:
+        return lambda record: _walk(record, steps)
+    (step,) = steps
+
+    def get_field(record):
+        if isinstance(record, dict) and step in record:
+            return record[step]
+        return MISSING
+
+    return get_field
 
 
 def set_field_path(record: dict, path: PathLike, value) -> None:
@@ -99,14 +121,22 @@ def set_field_path(record: dict, path: PathLike, value) -> None:
     current[steps[-1]] = value
 
 
+def primary_key_getter(key_path: PathLike) -> Callable[[dict], object]:
+    """A compiled :func:`primary_key_of` for one fixed key path."""
+    get = path_getter(key_path)
+
+    def key_of(record: dict):
+        value = get(record)
+        if value is MISSING or value is None:
+            raise AdmTypeError(f"record has no primary key at path {key_path!r}")
+        return value
+
+    return key_of
+
+
 def primary_key_of(record: dict, key_path: PathLike):
     """Extract the primary key; raises if the key is missing."""
-    value = field_path(record, key_path)
-    if value is MISSING or value is None:
-        from ..errors import AdmTypeError
-
-        raise AdmTypeError(f"record has no primary key at path {key_path!r}")
-    return value
+    return primary_key_getter(key_path)(record)
 
 
 def open_type(type_name: str, **fields: str) -> Datatype:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from ..errors import AdmTypeError
+from .values import MISSING, Circle, DateTime, Duration, Point, Rectangle
 
 
 class TypeTag(enum.Enum):
@@ -81,14 +82,28 @@ class Datatype:
 
     Mirrors ``CREATE TYPE name AS OPEN { ... }`` in AsterixDB.  ``fields``
     maps declared field names to their :class:`FieldType`.
+
+    ``fields`` and ``is_open`` must not change after construction: the first
+    use compiles the type into closures (see :meth:`compiled`) that are
+    cached on the instance and never rebuilt.
     """
 
     name: str
     fields: Dict[str, FieldType] = field(default_factory=dict)
     is_open: bool = True
+    _compiled: Optional["CompiledType"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def declared(self, field_name: str) -> bool:
         return field_name in self.fields
+
+    def compiled(self) -> "CompiledType":
+        """This type's coerce and validate closures, compiled on first use."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = _compile(self)
+        return compiled
 
     def validate(self, record: dict) -> None:
         """Raise :class:`AdmTypeError` if ``record`` does not conform."""
@@ -96,20 +111,7 @@ class Datatype:
             raise AdmTypeError(
                 f"type {self.name}: expected an object, got {type(record).__name__}"
             )
-        for fname, ftype in self.fields.items():
-            if fname not in record or record[fname] is None:
-                if ftype.optional:
-                    continue
-                raise AdmTypeError(
-                    f"type {self.name}: missing required field {fname!r}"
-                )
-            _validate_value(record[fname], ftype, self.name, fname)
-        if not self.is_open:
-            extra = set(record) - set(self.fields)
-            if extra:
-                raise AdmTypeError(
-                    f"closed type {self.name}: undeclared fields {sorted(extra)}"
-                )
+        self.compiled().validate(record)
 
     def conforms(self, record: dict) -> bool:
         """Return True if ``record`` validates, False otherwise."""
@@ -120,57 +122,229 @@ class Datatype:
         return True
 
 
-def _validate_value(value, ftype: FieldType, type_name: str, fname: str) -> None:
-    from .values import Circle, DateTime, Duration, Point, Rectangle
+class CompiledType(NamedTuple):
+    """The closures one :class:`Datatype` compiles to.
 
-    tag = ftype.tag
-    ok = True
-    if tag is TypeTag.ANY:
-        ok = True
-    elif tag is TypeTag.INT64:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        if ok and not (-(2**63) <= value < 2**63):
-            raise AdmTypeError(
-                f"type {type_name}.{fname}: int64 out of range: {value}"
-            )
-    elif tag is TypeTag.DOUBLE:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif tag is TypeTag.STRING:
-        ok = isinstance(value, str)
-    elif tag is TypeTag.BOOLEAN:
-        ok = isinstance(value, bool)
-    elif tag is TypeTag.DATETIME:
-        ok = isinstance(value, DateTime)
-    elif tag is TypeTag.DURATION:
-        ok = isinstance(value, Duration)
-    elif tag is TypeTag.POINT:
-        ok = isinstance(value, Point)
-    elif tag is TypeTag.RECTANGLE:
-        ok = isinstance(value, Rectangle)
-    elif tag is TypeTag.CIRCLE:
-        ok = isinstance(value, Circle)
-    elif tag is TypeTag.NULL:
-        ok = value is None
-    elif tag is TypeTag.ARRAY:
-        ok = isinstance(value, list)
-        if ok and ftype.item is not None:
-            for i, element in enumerate(value):
-                _validate_value(element, ftype.item, type_name, f"{fname}[{i}]")
-    elif tag is TypeTag.OBJECT:
-        ok = isinstance(value, dict)
-        if ok and ftype.object_type is not None:
-            ftype.object_type.validate(value)
-    if not ok:
-        raise AdmTypeError(
-            f"type {type_name}.{fname}: expected {ftype.describe()}, "
-            f"got {type(value).__name__} ({value!r})"
+    All three take a dict.  ``coerce`` rewrites string/array-encoded
+    extended values of declared fields in place; nested objects it coerces
+    are replaced by coerced copies.  ``validate`` raises
+    :class:`AdmTypeError` on the first declared field that does not conform
+    (in declaration order), then on undeclared fields of a closed type.
+    ``coerce_and_validate`` runs both passes, coercion first, so a coercion
+    error in any field wins over a type error in an earlier one.
+    """
+
+    coerce: Callable[[dict], None]
+    validate: Callable[[dict], None]
+    coerce_and_validate: Callable[[dict], None]
+
+
+def _compile(datatype: Datatype) -> CompiledType:
+    type_name = datatype.name
+    coercers = []
+    checks = []
+    for fname, ftype in datatype.fields.items():
+        coerce = _coercer(ftype)
+        if coerce is not None:
+            coercers.append((fname, coerce))
+        checks.append(
+            (fname, ftype.optional, _checker(ftype), f"type {type_name}.{fname}")
         )
+    coercers = tuple(coercers)
+    checks = tuple(checks)
+    declared = frozenset(datatype.fields)
+    is_open = datatype.is_open
+
+    def coerce(record: dict) -> None:
+        get = record.get
+        for fname, coerce_value in coercers:
+            value = get(fname)
+            if value is not None:
+                record[fname] = coerce_value(value)
+
+    def validate(record: dict) -> None:
+        get = record.get
+        for fname, optional, check, prefix in checks:
+            value = get(fname)
+            if value is None:
+                if optional:
+                    continue
+                raise AdmTypeError(
+                    f"type {type_name}: missing required field {fname!r}"
+                )
+            if check is not None:
+                problem = check(value)
+                if problem is not None:
+                    raise AdmTypeError(prefix + problem)
+        if not is_open and not declared.issuperset(record):
+            raise AdmTypeError(
+                f"closed type {type_name}: undeclared fields "
+                f"{sorted(record.keys() - declared)}"
+            )
+
+    def coerce_and_validate(record: dict) -> None:
+        coerce(record)
+        validate(record)
+
+    return CompiledType(coerce, validate, coerce_and_validate)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _coercer(ftype: FieldType) -> Optional[Callable]:
+    """A value -> value coercion for ``ftype``, or None if it never coerces.
+
+    Only strings (datetime, duration), non-bool numbers (double) and arrays
+    of non-bool numbers (spatial types) are converted; any other value is
+    returned unchanged for validation to reject.
+    """
+    tag = ftype.tag
+    if tag is TypeTag.DATETIME or tag is TypeTag.DURATION:
+        parse = DateTime.parse if tag is TypeTag.DATETIME else Duration.parse
+
+        def coerce_literal(value):
+            return parse(value) if isinstance(value, str) else value
+
+        return coerce_literal
+    if tag is TypeTag.DOUBLE:
+
+        def coerce_double(value):
+            if isinstance(value, int) and not isinstance(value, bool):
+                return float(value)
+            return value
+
+        return coerce_double
+    if tag in _SPATIAL:
+        arity, build = _SPATIAL[tag]
+
+        def coerce_spatial(value):
+            if (
+                isinstance(value, (list, tuple))
+                and len(value) == arity
+                and all(_is_number(v) for v in value)
+            ):
+                return build(*(float(v) for v in value))
+            return value
+
+        return coerce_spatial
+    if tag is TypeTag.ARRAY and ftype.item is not None:
+        coerce_item = _coercer(ftype.item)
+        if coerce_item is None:
+            return None
+
+        def coerce_array(value):
+            if isinstance(value, list):
+                return [coerce_item(v) for v in value]
+            return value
+
+        return coerce_array
+    if tag is TypeTag.OBJECT and ftype.object_type is not None:
+        nested = ftype.object_type.compiled().coerce
+
+        def coerce_object(value):
+            if isinstance(value, dict):
+                value = dict(value)
+                nested(value)
+            return value
+
+        return coerce_object
+    return None
+
+
+#: spatial tag -> (number of coordinates, constructor taking floats)
+_SPATIAL = {
+    TypeTag.POINT: (2, Point),
+    TypeTag.RECTANGLE: (4, Rectangle),
+    TypeTag.CIRCLE: (3, lambda x, y, radius: Circle(Point(x, y), radius)),
+}
+_CLASS_OF = {
+    TypeTag.NULL: type(None),
+    TypeTag.STRING: str,
+    TypeTag.BOOLEAN: bool,
+    TypeTag.DATETIME: DateTime,
+    TypeTag.DURATION: Duration,
+    TypeTag.POINT: Point,
+    TypeTag.RECTANGLE: Rectangle,
+    TypeTag.CIRCLE: Circle,
+}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _checker(ftype: FieldType) -> Optional[Callable]:
+    """A check for one non-null value of ``ftype``, or None if any value passes.
+
+    The check returns None when the value conforms, else the rest of the
+    error message after ``type <name>.<field>``.
+    """
+    tag = ftype.tag
+    expected = f": expected {ftype.describe()}, got "
+
+    def mismatch(value) -> str:
+        return f"{expected}{type(value).__name__} ({value!r})"
+
+    if tag is TypeTag.INT64:
+
+        def check_int64(value):
+            if not isinstance(value, int) or isinstance(value, bool):
+                return mismatch(value)
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                return f": int64 out of range: {value}"
+            return None
+
+        return check_int64
+    if tag is TypeTag.DOUBLE:
+
+        def check_double(value):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                return None
+            return mismatch(value)
+
+        return check_double
+    if tag in _CLASS_OF:
+        cls = _CLASS_OF[tag]
+
+        def check_class(value):
+            if isinstance(value, cls):
+                return None
+            return mismatch(value)
+
+        return check_class
+    if tag is TypeTag.ARRAY:
+        check_item = _checker(ftype.item) if ftype.item is not None else None
+
+        def check_array(value):
+            if not isinstance(value, list):
+                return mismatch(value)
+            if check_item is not None:
+                for i, element in enumerate(value):
+                    problem = check_item(element)
+                    if problem is not None:
+                        return f"[{i}]{problem}"
+            return None
+
+        return check_array
+    if tag is TypeTag.OBJECT:
+        nested = (
+            ftype.object_type.compiled().validate
+            if ftype.object_type is not None
+            else None
+        )
+
+        def check_object(value):
+            if not isinstance(value, dict):
+                return mismatch(value)
+            if nested is not None:
+                nested(value)  # raises with the nested type's own name
+            return None
+
+        return check_object
+    return None  # ANY and MISSING accept every value
 
 
 def tag_of(value) -> TypeTag:
     """Return the runtime :class:`TypeTag` of a Python-represented ADM value."""
-    from .values import MISSING, Circle, DateTime, Duration, Point, Rectangle
-
     if value is MISSING:
         return TypeTag.MISSING
     if value is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from ...adm.parser import parse_json
-from ...errors import AdmParseError
+from ...errors import AdmError
 from ..frame import Frame
 from ..job import Operator, OperatorContext
 
@@ -112,9 +112,10 @@ class ParseOperator(Operator):
     computing job on every node (Fig. 23's Collector + Parser).
 
     ``soft_errors`` (a :class:`~repro.ingestion.policy.SoftErrorHandler`)
-    governs malformed records: without one, an
-    :class:`~repro.errors.AdmParseError` — stamped with the envelope's
-    ``seq`` provenance — aborts the job, matching the seed behavior.
+    governs malformed and type-invalid records: without one, the
+    :class:`~repro.errors.AdmError` (an ``AdmParseError`` or an
+    ``AdmTypeError``) — stamped with the envelope's ``seq`` provenance —
+    aborts the job.
     """
 
     def __init__(self, ctx: OperatorContext, datatype=None, soft_errors=None):
@@ -135,7 +136,7 @@ class ParseOperator(Operator):
                 seq = envelope.get("seq")
                 try:
                     out.append(parse_json(raw, self.datatype))
-                except AdmParseError as exc:
+                except AdmError as exc:
                     exc.seq = seq
                     exc.source = "parse"
                     if self.soft_errors is None:

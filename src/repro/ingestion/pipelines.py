@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..adm.schema import primary_key_of
 from ..cluster.controller import Cluster
 from ..errors import IngestionError, InjectedCrash, StreamingJoinError
 from ..hyracks.connectors import HashPartition, OneToOne, RoundRobin
@@ -184,7 +183,7 @@ class _StorageLayer:
                 continue
             self.holders[producer_node % n].push(Frame(records))
             for record in records:
-                key = primary_key_of(record, self.dataset.primary_key)
+                key = self.dataset.key_of(record)
                 target = hash_partition(key, n)
                 if target != producer_node % n:
                     batch_busy[producer_node % n] = (
@@ -683,7 +682,7 @@ class StaticIngestionPipeline:
         spec.connect(
             upstream,
             sink,
-            HashPartition(lambda r: primary_key_of(r, dataset.primary_key)),
+            HashPartition(dataset.key_of),
         )
 
         plan_cache_before = _plan_cache_snapshot(eval_ctx)

@@ -1,20 +1,25 @@
 """JSON -> ADM parsing, coercion, and serialization."""
 
+import json
+
 import pytest
 
 from repro.adm import (
     Circle,
     DateTime,
     Duration,
+    FieldType,
     Point,
     Rectangle,
+    TypeTag,
+    coerce_record,
     make_type,
     parse_json,
     parse_json_lines,
     record_size_bytes,
     serialize,
 )
-from repro.errors import AdmParseError
+from repro.errors import AdmParseError, AdmTypeError
 
 
 class TestParseJson:
@@ -62,6 +67,69 @@ class TestParseJson:
         t = make_type("T", {"x": "double"})
         assert parse_json('{"x": 3}', t)["x"] == 3.0
         assert isinstance(parse_json('{"x": 3}', t)["x"], float)
+
+
+class TestCoercionKeepsTypeErrors:
+    """Only non-bool numbers are coerced; anything else reaches validation."""
+
+    T = make_type(
+        "T", {"x": "double?", "p": "point?", "r": "rectangle?", "c": "circle?"}
+    )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("x", True, "type T.x: expected double?, got bool (True)"),
+            ("p", ["1.5", True], "type T.p: expected point?, got list (['1.5', True])"),
+            ("p", ["a", 1], "type T.p: expected point?, got list (['a', 1])"),
+            ("p", [False, 1], "type T.p: expected point?, got list ([False, 1])"),
+            (
+                "r",
+                [0, 0, "1", 1],
+                "type T.r: expected rectangle?, got list ([0, 0, '1', 1])",
+            ),
+            (
+                "r",
+                [0, True, 1, 1],
+                "type T.r: expected rectangle?, got list ([0, True, 1, 1])",
+            ),
+            ("c", [1, 1, "r"], "type T.c: expected circle?, got list ([1, 1, 'r'])"),
+            ("c", [True, 1, 2], "type T.c: expected circle?, got list ([True, 1, 2])"),
+        ],
+    )
+    def test_rejected_with_type_error(self, field, value, message):
+        text = json.dumps({field: value})
+        with pytest.raises(AdmTypeError) as info:
+            parse_json(text, self.T)
+        assert str(info.value) == message
+        # coercion alone leaves the value as it was
+        assert coerce_record({field: value}, self.T) == {field: value}
+
+    def test_numbers_still_coerced(self):
+        record = parse_json('{"x": 2, "p": [1, 2.5], "r": [0, 0, 2, 1], '
+                            '"c": [0, 1, 3]}', self.T)
+        assert record == {
+            "x": 2.0,
+            "p": Point(1.0, 2.5),
+            "r": Rectangle(0.0, 0.0, 2.0, 1.0),
+            "c": Circle(Point(0.0, 1.0), 3.0),
+        }
+        assert all(isinstance(v, float) for v in (record["x"], record["p"].x))
+
+    def test_coerce_record_copies_nested_objects(self):
+        inner = make_type("Inner", {"at": "datetime"})
+        outer = make_type(
+            "Outer",
+            {"in": FieldType(TypeTag.OBJECT, object_type=inner), "ds": "[datetime]"},
+        )
+        record = {"in": {"at": "2019-01-01T00:00:00Z"}, "ds": ["2019-01-01T00:00:00Z"]}
+        out = coerce_record(record, outer)
+        assert out["in"]["at"] == DateTime.parse("2019-01-01T00:00:00Z")
+        assert out["ds"] == [DateTime.parse("2019-01-01T00:00:00Z")]
+        assert record == {
+            "in": {"at": "2019-01-01T00:00:00Z"},
+            "ds": ["2019-01-01T00:00:00Z"],
+        }
 
 
 class TestParseLines:

@@ -7,7 +7,7 @@ import pytest
 from repro.adm import open_type
 from repro.cluster import Cluster
 from repro.core import AsterixLite
-from repro.errors import AdmParseError, CircuitBreakerError
+from repro.errors import AdmParseError, AdmTypeError, CircuitBreakerError
 from repro.ingestion import (
     AttachedFunction,
     DynamicIngestionPipeline,
@@ -249,6 +249,59 @@ class TestPipelinePolicies:
         assert sorted(r["id"] for r in catalog["T"].scan()) == [
             i for i in range(12) if i not in (2, 9)
         ]
+
+    @staticmethod
+    def _raws_with_type_invalid(n, bad_id):
+        """Well-formed JSON whose ``id`` is a string at position ``bad_id``."""
+        return [
+            json.dumps({"id": "two" if i == bad_id else i}) for i in range(n)
+        ]
+
+    def test_skip_policy_drops_type_invalid_and_continues(self):
+        catalog, _registry = make_env()
+        pipeline = DynamicIngestionPipeline(Cluster(2), catalog)
+        feed = FeedDefinition(
+            "F", "T", batch_size=4, policy=FeedPolicy.discard(),
+            datatype=catalog["T"].datatype,
+        )
+        report = pipeline.run(
+            feed, GeneratorAdapter(self._raws_with_type_invalid(12, 2))
+        )
+        assert report.records_stored == 11
+        assert report.faults.records_skipped == 1
+        assert sorted(r["id"] for r in catalog["T"].scan()) == [
+            i for i in range(12) if i != 2
+        ]
+
+    def test_spill_policy_dead_letters_type_invalid(self):
+        catalog, _registry = make_env()
+        pipeline = DynamicIngestionPipeline(Cluster(2), catalog)
+        feed = FeedDefinition(
+            "F", "T", batch_size=4, policy=FeedPolicy.spill(),
+            datatype=catalog["T"].datatype,
+        )
+        report = pipeline.run(
+            feed, GeneratorAdapter(self._raws_with_type_invalid(12, 2))
+        )
+        assert report.records_stored == 11
+        assert report.faults.records_dead_lettered == 1
+        (entry,) = list(catalog["F_DeadLetters"].scan())
+        assert entry["stage"] == "parse"
+        assert "AdmTypeError" in entry["error"]
+        assert json.loads(entry["raw"]) == {"id": "two"}
+
+    def test_basic_policy_raises_original_type_error(self):
+        catalog, _registry = make_env()
+        pipeline = DynamicIngestionPipeline(Cluster(2), catalog)
+        feed = FeedDefinition(
+            "F", "T", batch_size=4, policy=FeedPolicy.basic(),
+            datatype=catalog["T"].datatype,
+        )
+        with pytest.raises(AdmTypeError, match=r"type TT\.id: expected int64") as info:
+            pipeline.run(
+                feed, GeneratorAdapter(self._raws_with_type_invalid(12, 2))
+            )
+        assert info.value.source == "parse"
 
     def test_udf_soft_errors_dead_lettered(self):
         catalog, registry = make_env()
