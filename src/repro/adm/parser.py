@@ -25,7 +25,9 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError, nesting deeper than the decoder can follow
         raise AdmParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise AdmParseError(
@@ -33,7 +35,9 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
         )
     if datatype is not None:
         # ``raw`` is fresh from json.loads, so it is coerced in place
-        datatype.compiled().coerce_and_validate(raw)
+        compiled = datatype.compiled()
+        compiled.coerce(raw)
+        compiled.validate(raw)
     return raw
 
 

@@ -7,9 +7,8 @@ objects, yielding MISSING when a step is absent — matching SQL++ semantics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
-from ..errors import AdmTypeError
 from .types import Datatype, FieldType, TypeTag
 from .values import MISSING
 
@@ -66,46 +65,32 @@ def parse_field_spec(spec: str) -> FieldType:
 
 PathLike = Union[str, Sequence[str]]
 
+#: dotted path -> its steps.  Paths come from DDL and queries (primary keys,
+#: index fields, join keys), so the set is small and each is split once.
+_SPLIT_CACHE: Dict[str, Tuple[str, ...]] = {}
+
 
 def split_path(path: PathLike) -> Tuple[str, ...]:
     if isinstance(path, str):
-        return tuple(path.split("."))
+        steps = _SPLIT_CACHE.get(path)
+        if steps is None:
+            steps = _SPLIT_CACHE[path] = tuple(path.split("."))
+        return steps
     return tuple(path)
-
-
-def _walk(record, steps: Tuple[str, ...]):
-    current = record
-    for step in steps:
-        if isinstance(current, dict) and step in current:
-            current = current[step]
-        else:
-            return MISSING
-    return current
 
 
 def field_path(record, path: PathLike):
     """Navigate a dotted path through a record; absent steps yield MISSING."""
-    return _walk(record, split_path(path))
-
-
-def path_getter(path: PathLike) -> Callable[[object], object]:
-    """``field_path`` for one fixed ``path``, with the path split once.
-
-    Hot callers (hash-table builds, index maintenance, primary-key
-    extraction) hold the returned function rather than re-splitting the
-    dotted string for every record.
-    """
-    steps = split_path(path)
-    if len(steps) != 1:
-        return lambda record: _walk(record, steps)
-    (step,) = steps
-
-    def get_field(record):
-        if isinstance(record, dict) and step in record:
-            return record[step]
-        return MISSING
-
-    return get_field
+    current = record
+    for step in split_path(path):
+        if isinstance(current, dict):
+            if step in current:
+                current = current[step]
+            else:
+                return MISSING
+        else:
+            return MISSING
+    return current
 
 
 def set_field_path(record: dict, path: PathLike, value) -> None:
@@ -121,22 +106,14 @@ def set_field_path(record: dict, path: PathLike, value) -> None:
     current[steps[-1]] = value
 
 
-def primary_key_getter(key_path: PathLike) -> Callable[[dict], object]:
-    """A compiled :func:`primary_key_of` for one fixed key path."""
-    get = path_getter(key_path)
-
-    def key_of(record: dict):
-        value = get(record)
-        if value is MISSING or value is None:
-            raise AdmTypeError(f"record has no primary key at path {key_path!r}")
-        return value
-
-    return key_of
-
-
 def primary_key_of(record: dict, key_path: PathLike):
     """Extract the primary key; raises if the key is missing."""
-    return primary_key_getter(key_path)(record)
+    value = field_path(record, key_path)
+    if value is MISSING or value is None:
+        from ..errors import AdmTypeError
+
+        raise AdmTypeError(f"record has no primary key at path {key_path!r}")
+    return value
 
 
 def open_type(type_name: str, **fields: str) -> Datatype:

@@ -125,18 +125,19 @@ class Datatype:
 class CompiledType(NamedTuple):
     """The closures one :class:`Datatype` compiles to.
 
-    All three take a dict.  ``coerce`` rewrites string/array-encoded
-    extended values of declared fields in place; nested objects it coerces
-    are replaced by coerced copies.  ``validate`` raises
+    Both take a dict.  ``coerce`` rewrites string/array-encoded extended
+    values of declared fields in place; a nested object whose type coerces
+    anything is replaced by a coerced copy.  ``validate`` raises
     :class:`AdmTypeError` on the first declared field that does not conform
     (in declaration order), then on undeclared fields of a closed type.
-    ``coerce_and_validate`` runs both passes, coercion first, so a coercion
-    error in any field wins over a type error in an earlier one.
+    Parsing runs ``coerce`` before ``validate``, so a coercion error in any
+    field wins over a type error in an earlier one.  ``coerces`` is False
+    when no declared field ever coerces, which makes ``coerce`` a no-op.
     """
 
     coerce: Callable[[dict], None]
     validate: Callable[[dict], None]
-    coerce_and_validate: Callable[[dict], None]
+    coerces: bool
 
 
 def _compile(datatype: Datatype) -> CompiledType:
@@ -182,11 +183,7 @@ def _compile(datatype: Datatype) -> CompiledType:
                 f"{sorted(record.keys() - declared)}"
             )
 
-    def coerce_and_validate(record: dict) -> None:
-        coerce(record)
-        validate(record)
-
-    return CompiledType(coerce, validate, coerce_and_validate)
+    return CompiledType(coerce, validate, bool(coercers))
 
 
 def _is_number(value) -> bool:
@@ -197,8 +194,9 @@ def _coercer(ftype: FieldType) -> Optional[Callable]:
     """A value -> value coercion for ``ftype``, or None if it never coerces.
 
     Only strings (datetime, duration), non-bool numbers (double) and arrays
-    of non-bool numbers (spatial types) are converted; any other value is
-    returned unchanged for validation to reject.
+    of non-bool numbers (spatial types) are converted; any other value,
+    including an integer too large for a double, is returned unchanged for
+    validation to reject.
     """
     tag = ftype.tag
     if tag is TypeTag.DATETIME or tag is TypeTag.DURATION:
@@ -212,7 +210,10 @@ def _coercer(ftype: FieldType) -> Optional[Callable]:
 
         def coerce_double(value):
             if isinstance(value, int) and not isinstance(value, bool):
-                return float(value)
+                try:
+                    return float(value)
+                except OverflowError:
+                    pass
             return value
 
         return coerce_double
@@ -225,7 +226,10 @@ def _coercer(ftype: FieldType) -> Optional[Callable]:
                 and len(value) == arity
                 and all(_is_number(v) for v in value)
             ):
-                return build(*(float(v) for v in value))
+                try:
+                    return build(*(float(v) for v in value))
+                except OverflowError:
+                    pass
             return value
 
         return coerce_spatial
@@ -241,7 +245,10 @@ def _coercer(ftype: FieldType) -> Optional[Callable]:
 
         return coerce_array
     if tag is TypeTag.OBJECT and ftype.object_type is not None:
-        nested = ftype.object_type.compiled().coerce
+        nested_type = ftype.object_type.compiled()
+        if not nested_type.coerces:
+            return None
+        nested = nested_type.coerce
 
         def coerce_object(value):
             if isinstance(value, dict):
@@ -297,7 +304,13 @@ def _checker(ftype: FieldType) -> Optional[Callable]:
     if tag is TypeTag.DOUBLE:
 
         def check_double(value):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(value, float):
+                return None
+            if isinstance(value, int) and not isinstance(value, bool):
+                try:
+                    float(value)
+                except OverflowError:
+                    return f": double out of range: {value}"
                 return None
             return mismatch(value)
 

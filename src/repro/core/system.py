@@ -535,6 +535,7 @@ class AsterixLite:
         """Delete records matching ``where``; returns how many went."""
         dataset = self._dataset(dataset_name)
         evaluator = self.evaluator()
+        from ..adm.schema import primary_key_of
         from ..sqlpp.evaluator import Env, _truthy
 
         doomed = []
@@ -542,7 +543,7 @@ class AsterixLite:
             if where is None or _truthy(
                 evaluator.evaluate(where, Env({var: record}))
             ):
-                doomed.append(dataset.key_of(record))
+                doomed.append(primary_key_of(record, dataset.primary_key))
         for key in doomed:
             dataset.delete(key)
         return len(doomed)

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..adm.schema import primary_key_of
 from ..cluster.controller import Cluster
 from ..errors import IngestionError, InjectedCrash, StreamingJoinError
 from ..hyracks.connectors import HashPartition, OneToOne, RoundRobin
@@ -183,7 +184,7 @@ class _StorageLayer:
                 continue
             self.holders[producer_node % n].push(Frame(records))
             for record in records:
-                key = self.dataset.key_of(record)
+                key = primary_key_of(record, self.dataset.primary_key)
                 target = hash_partition(key, n)
                 if target != producer_node % n:
                     batch_busy[producer_node % n] = (
@@ -682,7 +683,7 @@ class StaticIngestionPipeline:
         spec.connect(
             upstream,
             sink,
-            HashPartition(dataset.key_of),
+            HashPartition(lambda r: primary_key_of(r, dataset.primary_key)),
         )
 
         plan_cache_before = _plan_cache_snapshot(eval_ctx)

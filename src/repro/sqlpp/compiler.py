@@ -324,6 +324,8 @@ def run_insert(
     if dataset_name not in catalog:
         raise SqlppAnalysisError(f"unknown dataset: {dataset_name}")
     dataset = catalog[dataset_name]
+    from ..adm.schema import primary_key_of
+
     n = cluster.num_nodes
     spec = JobSpecification(f"insert-{dataset_name}")
     src = spec.add_operator(
@@ -336,5 +338,7 @@ def run_insert(
             partitions=n,
         )
     )
-    spec.connect(src, sink, HashPartition(dataset.key_of))
+    spec.connect(
+        src, sink, HashPartition(lambda r: primary_key_of(r, dataset.primary_key))
+    )
     return cluster.controller.run_job(spec)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..adm.schema import path_getter
+from ..adm.schema import field_path as record_field_path
 from ..adm.values import MISSING
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
@@ -798,9 +798,8 @@ class Evaluator:
         if table is None:
             snapshot = self._scan_dataset(dataset)
             table = {}
-            field_of = path_getter(field)
             for record in snapshot:
-                value = field_of(record)
+                value = record_field_path(record, field)
                 if value is not MISSING and value is not None:
                     table.setdefault(value, []).append(record)
             self.ctx.batch_cache[key] = table

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..adm.schema import primary_key_getter
+from ..adm.schema import primary_key_of
 from ..adm.types import Datatype
 from ..errors import IndexError_, KeyNotFoundError
 from .index import IndexKind, SecondaryIndex
@@ -55,8 +55,6 @@ class Dataset:
         self.name = name
         self.datatype = datatype
         self.primary_key = primary_key
-        #: ``primary_key_of(record, primary_key)``, with the path split once
-        self.key_of = primary_key_getter(primary_key)
         self.num_partitions = num_partitions
         self.validate = validate
         self.partitions: List[LSMTree] = [
@@ -107,7 +105,7 @@ class Dataset:
     def _prepare(self, record: dict):
         if self.validate:
             self.datatype.validate(record)
-        key = self.key_of(record)
+        key = primary_key_of(record, self.primary_key)
         return key, self._partition_of(key)
 
     def _commit(self, op: str, key) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Optional, Set, Tuple
 
-from ..adm.schema import path_getter
+from ..adm.schema import field_path
 from ..adm.values import MISSING
 from ..errors import IndexError_
 from .btree import BPlusTree
@@ -29,7 +29,6 @@ class SecondaryIndex:
     def __init__(self, name: str, field: str, kind: IndexKind):
         self.name = name
         self.field = field
-        self._field_of = path_getter(field)
         self.kind = kind
         if kind is IndexKind.BTREE:
             self._btree: Optional[BPlusTree] = BPlusTree()
@@ -45,7 +44,7 @@ class SecondaryIndex:
         return len(tree)
 
     def _key_of(self, record):
-        value = self._field_of(record)
+        value = field_path(record, self.field)
         if value is MISSING or value is None:
             return None  # records without the field are simply not indexed
         return value

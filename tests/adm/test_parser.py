@@ -69,6 +69,9 @@ class TestParseJson:
         assert isinstance(parse_json('{"x": 3}', t)["x"], float)
 
 
+_HUGE = 10**400  # a valid JSON integer that float() cannot represent
+
+
 class TestCoercionKeepsTypeErrors:
     """Only non-bool numbers are coerced; anything else reaches validation."""
 
@@ -95,6 +98,14 @@ class TestCoercionKeepsTypeErrors:
             ),
             ("c", [1, 1, "r"], "type T.c: expected circle?, got list ([1, 1, 'r'])"),
             ("c", [True, 1, 2], "type T.c: expected circle?, got list ([True, 1, 2])"),
+            # integers beyond the double range stay ints and fail validation
+            ("x", _HUGE, f"type T.x: double out of range: {_HUGE}"),
+            ("p", [_HUGE, 1], f"type T.p: expected point?, got list ([{_HUGE}, 1])"),
+            (
+                "c",
+                [0, 0, -_HUGE],
+                f"type T.c: expected circle?, got list ([0, 0, {-_HUGE}])",
+            ),
         ],
     )
     def test_rejected_with_type_error(self, field, value, message):
@@ -115,6 +126,23 @@ class TestCoercionKeepsTypeErrors:
             "c": Circle(Point(0.0, 1.0), 3.0),
         }
         assert all(isinstance(v, float) for v in (record["x"], record["p"].x))
+
+    def test_double_accepts_largest_finite_integer(self):
+        big = int(1.7976931348623157e308)
+        assert parse_json(json.dumps({"x": big}), self.T) == {"x": float(big)}
+        assert self.T.conforms({"x": big})
+        assert not self.T.conforms({"x": _HUGE})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": %s}' % ("9" * 5000),  # longer than json.loads accepts
+            '{"x": %s}' % ("[" * 100_000),  # deeper than the decoder recurses
+        ],
+    )
+    def test_decoder_limits_are_parse_errors(self, text):
+        with pytest.raises(AdmParseError, match="malformed JSON"):
+            parse_json(text, self.T)
 
     def test_coerce_record_copies_nested_objects(self):
         inner = make_type("Inner", {"at": "datetime"})

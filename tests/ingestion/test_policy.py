@@ -303,6 +303,25 @@ class TestPipelinePolicies:
             )
         assert info.value.source == "parse"
 
+    def test_skip_policy_drops_numbers_out_of_range(self):
+        # a double too large for a float and an integer literal longer
+        # than json.loads accepts are bad records, not crashes
+        catalog, _registry = make_env()
+        pipeline = DynamicIngestionPipeline(Cluster(2), catalog)
+        raws = [json.dumps({"id": i, "x": 0.5}) for i in range(12)]
+        raws[3] = '{"id": 3, "x": 1%s}' % ("0" * 400)
+        raws[8] = '{"id": 8, "x": %s}' % ("9" * 5000)
+        feed = FeedDefinition(
+            "F", "T", batch_size=4, policy=FeedPolicy.discard(),
+            datatype=open_type("TD", id="int64", x="double?"),
+        )
+        report = pipeline.run(feed, GeneratorAdapter(raws))
+        assert report.records_stored == 10
+        assert report.faults.records_skipped == 2
+        assert sorted(r["id"] for r in catalog["T"].scan()) == [
+            i for i in range(12) if i not in (3, 8)
+        ]
+
     def test_udf_soft_errors_dead_lettered(self):
         catalog, registry = make_env()
         pipeline = DynamicIngestionPipeline(Cluster(2), catalog, registry)
