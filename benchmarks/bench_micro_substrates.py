@@ -11,7 +11,7 @@ import pytest
 
 from repro.adm import Point, open_type, parse_json
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
-from repro.storage import BPlusTree, Dataset, LSMTree, RTree
+from repro.storage import BPlusTree, Dataset, IndexKind, LSMTree, RTree
 from repro.udf.library import SQLPP_UDFS
 from repro.workloads import TweetGenerator
 
@@ -60,6 +60,43 @@ def test_micro_btree_probe(benchmark):
             tree.search(key)
 
     benchmark(probe_all)
+
+
+def test_micro_rtree_build(benchmark):
+    rnd = random.Random(0)
+    points = [Point(rnd.uniform(0, 100), rnd.uniform(0, 100)) for _ in range(5000)]
+
+    def build_5000():
+        tree = RTree(max_entries=16)
+        for i, point in enumerate(points):
+            tree.insert(point, i)
+        return tree
+
+    benchmark(build_5000)
+
+
+def test_micro_rtree_upsert(benchmark):
+    # moving a person re-indexes it: an R-tree delete, then an insert
+    rnd = random.Random(0)
+
+    def person(i):
+        location = Point(rnd.uniform(0, 100), rnd.uniform(0, 100))
+        return {"person_id": i, "location": location}
+
+    persons = Dataset(
+        "Persons", open_type("PersonType"), "person_id", num_partitions=2,
+        validate=False,
+    )
+    for i in range(2000):
+        persons.insert(person(i))
+    persons.flush_all()
+    persons.create_index("Persons_spatial", "location", IndexKind.RTREE)
+
+    def move_500():
+        for i in rnd.sample(range(2000), 500):
+            persons.upsert(person(i))
+
+    benchmark(move_500)
 
 
 def test_micro_rtree_probe(benchmark):

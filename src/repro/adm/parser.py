@@ -16,15 +16,35 @@ from .types import Datatype
 from .values import Circle, DateTime, Duration, Point, Rectangle
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+# One decoder for every call: ``json.loads(text, parse_constant=...)`` would
+# build a new decoder per record.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _loads(text):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    elif not isinstance(text, str) or text.startswith("\ufeff"):
+        # json.loads raises its own TypeError or byte-order-mark error
+        return json.loads(text)
+    return _DECODER.decode(text)
+
+
 def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
     """Parse one JSON object into an ADM record.
 
     If ``datatype`` is given, string-encoded extended fields declared in the
     type (datetime, duration, point...) are coerced, and the record is
-    validated against the type.
+    validated against the type.  ``NaN`` and ``Infinity`` literals are
+    rejected: a stored NaN coordinate would match every R-tree probe.
     """
     try:
-        raw = json.loads(text)
+        raw = _loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and over-long integer literals;
         # RecursionError, nesting deeper than the decoder can follow

@@ -13,7 +13,7 @@ import json
 import os
 from typing import Dict, Optional
 
-from ..adm.parser import coerce_record, parse_json, serialize
+from ..adm.parser import _AdmEncoder, coerce_record, parse_json
 from ..adm.schema import make_type
 from ..adm.types import Datatype, FieldType, TypeTag
 from ..errors import StorageError
@@ -61,7 +61,9 @@ def save_dataset(dataset: Dataset, path: str) -> int:
     """Write a snapshot of ``dataset`` to ``path``; returns records written.
 
     The snapshot holds the current committed contents (memtables included);
-    write it after quiescing the feed for a consistent cut.
+    write it after quiescing the feed for a consistent cut.  A record
+    holding ``NaN`` or an infinity raises :class:`StorageError`, since
+    :func:`load_dataset` could not read it back.
     """
     header = {
         "format_version": FORMAT_VERSION,
@@ -79,7 +81,13 @@ def save_dataset(dataset: Dataset, path: str) -> int:
     with open(tmp_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
         for record in dataset.scan():
-            handle.write(serialize(record) + "\n")
+            try:
+                line = json.dumps(
+                    record, cls=_AdmEncoder, separators=(",", ":"), allow_nan=False
+                )
+            except ValueError as exc:
+                raise StorageError(f"{path}: cannot snapshot: {exc}") from exc
+            handle.write(line + "\n")
             count += 1
     os.replace(tmp_path, path)  # atomic publish
     return count

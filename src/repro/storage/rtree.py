@@ -35,8 +35,13 @@ def _area(r: Rectangle) -> float:
     return (r.x2 - r.x1) * (r.y2 - r.y1)
 
 
+def _union_area(a: Rectangle, b: Rectangle) -> float:
+    """``_area(_union(a, b))`` without building the union."""
+    return (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+
+
 def _enlargement(r: Rectangle, added: Rectangle) -> float:
-    return _area(_union(r, added)) - _area(r)
+    return _union_area(r, added) - _area(r)
 
 
 class _Entry:
@@ -62,9 +67,23 @@ class _RNode:
             out = _union(out, entry.mbr)
         return out
 
+    def retighten(self, child: "_RNode") -> None:
+        """Reset the entry pointing at ``child`` to ``child``'s exact MBR."""
+        for entry in self.entries:
+            if entry.child is child:
+                entry.mbr = child.mbr()
+                return
+
 
 class RTree:
-    """Guttman R-tree with quadratic split."""
+    """Guttman R-tree with quadratic split.
+
+    Every entry's MBR is exact: a leaf entry holds ``mbr_of`` its value and
+    an interior entry holds its child's ``mbr()``.  Inserts and deletes keep
+    that true by touching only the entries on the changed path (Guttman's
+    AdjustTree).  Coordinates must not be NaN: NaN makes every comparison
+    false, so unions would depend on entry order.
+    """
 
     def __init__(self, max_entries: int = 16):
         if max_entries < 4:
@@ -83,26 +102,33 @@ class RTree:
 
     def insert(self, spatial_value, primary_key) -> None:
         mbr = mbr_of(spatial_value)
-        leaf = self._choose_leaf(self._root, mbr)
+        leaf, path = self._choose_leaf(mbr)
         leaf.entries.append(_Entry(mbr, payload=(spatial_value, primary_key)))
         self._size += 1
+        # Enlarge the path before any split: a split only regroups a node's
+        # entries, so each ancestor's union is already final here.
+        for entry in path:
+            entry.mbr = _union(entry.mbr, mbr)
         self._handle_overflow(leaf)
-        self._adjust_upward(leaf)
 
-    def _adjust_upward(self, node: _RNode) -> None:
-        """Re-tighten every ancestor entry MBR after a leaf change."""
-        while node.parent is not None:
-            self._refresh_entry_mbrs(node.parent)
-            node = node.parent
-
-    def _choose_leaf(self, node: _RNode, mbr: Rectangle) -> _RNode:
+    def _choose_leaf(self, mbr: Rectangle) -> Tuple[_RNode, List[_Entry]]:
+        """Descend by least enlargement, then least area; return the leaf
+        and the interior entries followed to reach it."""
+        node = self._root
+        path = []
         while not node.is_leaf:
-            best = min(
-                node.entries,
-                key=lambda e: (_enlargement(e.mbr, mbr), _area(e.mbr)),
-            )
+            best = None
+            for entry in node.entries:
+                area = _area(entry.mbr)
+                enlargement = _union_area(entry.mbr, mbr) - area
+                # the first entry with the least (enlargement, area) wins
+                if best is None or enlargement < best_enlargement or (
+                    enlargement == best_enlargement and area < best_area
+                ):
+                    best, best_enlargement, best_area = entry, enlargement, area
+            path.append(best)
             node = best.child
-        return node
+        return node, path
 
     def _handle_overflow(self, node: _RNode) -> None:
         while len(node.entries) > self.max_entries:
@@ -116,9 +142,9 @@ class RTree:
                     child.parent = new_root
                 self._root = new_root
                 return
+            parent.retighten(node)
             parent.entries.append(_Entry(sibling.mbr(), child=sibling))
             sibling.parent = parent
-            self._refresh_entry_mbrs(parent)
             node = parent
 
     def _split(self, node: _RNode) -> _RNode:
@@ -128,7 +154,7 @@ class RTree:
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
                 waste = (
-                    _area(_union(entries[i].mbr, entries[j].mbr))
+                    _union_area(entries[i].mbr, entries[j].mbr)
                     - _area(entries[i].mbr)
                     - _area(entries[j].mbr)
                 )
@@ -164,11 +190,6 @@ class RTree:
                 entry.child.parent = sibling
         return sibling
 
-    def _refresh_entry_mbrs(self, node: _RNode) -> None:
-        for entry in node.entries:
-            if entry.child is not None:
-                entry.mbr = entry.child.mbr()
-
     # ----------------------------------------------------------------- delete
 
     def delete(self, spatial_value, primary_key) -> bool:
@@ -197,7 +218,7 @@ class RTree:
         return None
 
     def _condense(self, node: _RNode) -> None:
-        """Reinsert orphans from underfull nodes; shrink ancestor MBRs."""
+        """Reinsert orphans from underfull nodes; shrink the path's MBRs."""
         orphans: List[_Entry] = []
         while node.parent is not None:
             parent = node.parent
@@ -205,7 +226,7 @@ class RTree:
                 parent.entries = [e for e in parent.entries if e.child is not node]
                 self._collect_leaf_entries(node, orphans)
             else:
-                self._refresh_entry_mbrs(parent)
+                parent.retighten(node)
             node = parent
         if not self._root.is_leaf and len(self._root.entries) == 1:
             self._root = self._root.entries[0].child
@@ -232,16 +253,22 @@ class RTree:
         optimizer does for index-NLJ plans).
         """
         self.probes += 1
-        query_mbr = mbr_of(query)
+        q = mbr_of(query)
+        qx1, qy1, qx2, qy2 = q.x1, q.y1, q.x2, q.y2
         stack = [self._root]
         while stack:
             node = stack.pop()
             self.nodes_visited += 1
-            for entry in node.entries:
-                if entry.mbr.intersects(query_mbr):
-                    if node.is_leaf:
+            # the tests are Rectangle.intersects, inlined
+            if node.is_leaf:
+                for entry in node.entries:
+                    m = entry.mbr
+                    if not (qx1 > m.x2 or qx2 < m.x1 or qy1 > m.y2 or qy2 < m.y1):
                         yield entry.payload
-                    else:
+            else:
+                for entry in node.entries:
+                    m = entry.mbr
+                    if not (qx1 > m.x2 or qx2 < m.x1 or qy1 > m.y2 or qy2 < m.y1):
                         stack.append(entry.child)
 
     def check_invariants(self) -> None:
@@ -256,17 +283,14 @@ class RTree:
         if len(node.entries) > self.max_entries:
             raise AssertionError("overfull node")
         if node.is_leaf:
+            for entry in node.entries:
+                if entry.mbr != mbr_of(entry.payload[0]):
+                    raise AssertionError("leaf entry MBR is not its value's MBR")
             return len(node.entries)
         total = 0
         for entry in node.entries:
-            child_mbr = entry.child.mbr()
-            if (
-                child_mbr.x1 < entry.mbr.x1
-                or child_mbr.y1 < entry.mbr.y1
-                or child_mbr.x2 > entry.mbr.x2
-                or child_mbr.y2 > entry.mbr.y2
-            ):
-                raise AssertionError("entry MBR does not cover child")
+            if entry.mbr != entry.child.mbr():
+                raise AssertionError("entry MBR is not its child's exact MBR")
             if entry.child.parent is not node:
                 raise AssertionError("broken parent pointer")
             total += self._check_node(entry.child)

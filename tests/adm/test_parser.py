@@ -34,6 +34,28 @@ class TestParseJson:
         with pytest.raises(AdmParseError, match="expected a JSON object"):
             parse_json("[1, 2]")
 
+    @pytest.mark.parametrize(
+        "text, literal",
+        [
+            ('{"latitude": NaN}', "NaN"),
+            ('{"p": [1.0, Infinity]}', "Infinity"),
+            ('{"o": {"x": -Infinity}}', "-Infinity"),
+            (b'{"latitude": NaN}', "NaN"),
+        ],
+    )
+    def test_non_finite_literals_rejected(self, text, literal):
+        message = f"malformed JSON: non-finite number {literal} is not allowed"
+        with pytest.raises(AdmParseError, match=message):
+            parse_json(text)
+
+    def test_non_finite_words_in_strings_kept(self):
+        assert parse_json('{"t": "NaN Infinity"}') == {"t": "NaN Infinity"}
+
+    def test_bytes_and_byte_order_mark_handled_as_json_loads(self):
+        assert parse_json('{"id": 1}'.encode("utf-16")) == {"id": 1}
+        with pytest.raises(AdmParseError, match="malformed JSON: Unexpected UTF-8"):
+            parse_json('\ufeff{"id": 1}')
+
     def test_datetime_coercion(self):
         t = make_type("T", {"ts": "datetime"})
         record = parse_json('{"ts": "2019-03-15T12:00:00Z"}', t)

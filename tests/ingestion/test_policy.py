@@ -322,6 +322,26 @@ class TestPipelinePolicies:
             i for i in range(12) if i not in (3, 8)
         ]
 
+    def test_skip_policy_drops_non_finite_numbers(self):
+        # a NaN coordinate would pass every R-tree MBR test, so the parser
+        # rejects the literal and the record is skipped, not stored
+        catalog, _registry = make_env()
+        pipeline = DynamicIngestionPipeline(Cluster(2), catalog)
+        raws = [json.dumps({"id": i, "x": 0.5}) for i in range(12)]
+        raws[2] = '{"id": 2, "x": NaN}'
+        raws[5] = '{"id": 5, "x": Infinity}'
+        raws[9] = '{"id": 9, "x": -Infinity}'
+        feed = FeedDefinition(
+            "F", "T", batch_size=4, policy=FeedPolicy.discard(),
+            datatype=open_type("TD", id="int64", x="double?"),
+        )
+        report = pipeline.run(feed, GeneratorAdapter(raws))
+        assert report.records_stored == 9
+        assert report.faults.records_skipped == 3
+        assert sorted(r["id"] for r in catalog["T"].scan()) == [
+            i for i in range(12) if i not in (2, 5, 9)
+        ]
+
     def test_udf_soft_errors_dead_lettered(self):
         catalog, registry = make_env()
         pipeline = DynamicIngestionPipeline(Cluster(2), catalog, registry)

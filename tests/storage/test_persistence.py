@@ -109,6 +109,15 @@ class TestErrors:
         with pytest.raises(StorageError, match="unsupported snapshot format"):
             load_dataset(str(path))
 
+    def test_non_finite_number_rejected(self, dataset, tmp_path):
+        # load_dataset's parser rejects NaN, so the snapshot must not hold it
+        dataset.upsert({"id": 998, "when": DateTime(0), "where": Point(0, 0),
+                        "score": float("nan")})
+        path = tmp_path / "events.adm"
+        with pytest.raises(StorageError, match="cannot snapshot"):
+            save_dataset(dataset, str(path))
+        assert not path.exists()
+
     def test_no_tmp_file_left_behind(self, dataset, tmp_path):
         path = str(tmp_path / "events.adm")
         save_dataset(dataset, path)
