@@ -14,10 +14,12 @@ Usage::
     python benchmarks/bench_all.py --smoke --baseline BENCH_TRAJECTORY.json
 
 Exit is non-zero if any suite fails its own invariants (each script
-already gates itself), or — with ``--baseline`` — if a gated speedup
-ratio (wall-clock planned/columnar, or the memo's rate-0 simulated win)
-dropped more than ``--baseline-tolerance`` (default 20%) below the last
-committed trajectory row.  Speedup *ratios* are compared, never absolute rec/s:
+already gates itself; wallclock runs with ``--baseline
+BENCH_wallclock.json``), or — with ``--baseline`` — if a gated speedup
+ratio (wall-clock columnar/planned, the memo's rate-0 simulated win, or
+the multitenant skewed fleet speedup) dropped more than
+``--baseline-tolerance`` (default 20%) below the last committed
+trajectory row.  Speedup *ratios* are compared, never absolute rec/s:
 ratios survive machine and workload-size changes, throughput does not.
 """
 
@@ -36,12 +38,11 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 def _wallclock_summary(result: dict) -> dict:
     aggregate = result["aggregate"]
     return {
-        "speedup": aggregate["speedup"],
         "columnar_speedup": aggregate["columnar_speedup"],
         "planned_records_per_sec": aggregate["planned_records_per_sec"],
         "columnar_records_per_sec": aggregate["columnar_records_per_sec"],
-        "interp_normalized_throughput": result["interpreter"]["aggregate"][
-            "normalized_throughput"
+        "planned_normalized_throughput": aggregate[
+            "planned_normalized_throughput"
         ],
     }
 
@@ -122,10 +123,14 @@ SUITES = {
     ),
 }
 
+#: suite -> extra arguments: wallclock gates itself against the committed
+#: baseline (calibration-normalized planned throughput, columnar ratio)
+SUITE_ARGS = {"wallclock": ("--baseline", "BENCH_wallclock.json")}
+
 #: suite -> speedup-ratio metrics the --baseline gate compares (ratios
 #: survive machine and workload-size changes; absolute numbers do not)
 GATED_RATIOS = {
-    "wallclock": ("speedup", "columnar_speedup"),
+    "wallclock": ("columnar_speedup",),
     "memo": ("sim_win_rate0",),
     "multitenant": ("skewed_speedup",),
 }
@@ -169,15 +174,15 @@ def main(argv=None) -> int:
         "--baseline",
         type=Path,
         default=None,
-        help="previous BENCH_TRAJECTORY.json to gate the wall-clock "
-        "speedup ratios against (fail on regression beyond the tolerance)",
+        help="previous BENCH_TRAJECTORY.json to gate the speedup ratios "
+        "against (fail on regression beyond the tolerance)",
     )
     parser.add_argument(
         "--baseline-tolerance",
         type=float,
         default=0.20,
-        help="allowed fractional drop in the wall-clock planned/columnar "
-        "speedup ratios vs the last baseline row",
+        help="allowed fractional drop in the gated speedup ratios vs the "
+        "last baseline row",
     )
     args = parser.parse_args(argv)
 
@@ -205,6 +210,7 @@ def main(argv=None) -> int:
         cmd = [sys.executable, str(BENCH_DIR / script)]
         if args.smoke:
             cmd.append("--smoke")
+        cmd.extend(SUITE_ARGS.get(name, ()))
         print(f"=== {name}: {' '.join(cmd[1:])}")
         proc = subprocess.run(cmd, cwd=REPO_ROOT)
         if proc.returncode != 0:

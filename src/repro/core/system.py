@@ -536,11 +536,12 @@ class AsterixLite:
         dataset = self._dataset(dataset_name)
         evaluator = self.evaluator()
         from ..adm.schema import primary_key_of
-        from ..sqlpp.evaluator import Env, _truthy
+        from ..sqlpp.evaluator import Env
+        from ..sqlpp.plans import truthy
 
         doomed = []
         for record in dataset.scan():
-            if where is None or _truthy(
+            if where is None or truthy(
                 evaluator.evaluate(where, Env({var: record}))
             ):
                 doomed.append(primary_key_of(record, dataset.primary_key))

@@ -66,9 +66,9 @@ def make_batch_invoker(functions, registry) -> Optional[Callable]:
     at a time.  Returns ``None`` at build time when any attached function
     is Java (instance lifecycle + metering are per record); the returned
     callable returns ``None`` at run time whenever the batch must take the
-    scalar path (plans disabled, a non-unary or replaced function, an
-    unsupported block shape) — the caller then falls back to the
-    record-at-a-time :func:`make_invoker` loop.
+    scalar path (a non-unary or replaced function, an unsupported block
+    shape) — the caller then falls back to the record-at-a-time
+    :func:`make_invoker` loop.
 
     A SQL++ UDF returning a collection is unnested exactly as in
     :func:`make_invoker`: a kernel's output rows are the concatenation of
@@ -83,8 +83,6 @@ def make_batch_invoker(functions, registry) -> Optional[Callable]:
     state = {"version": -1, "udfs": None}
 
     def invoke_batch(records: List[dict], eval_ctx: EvaluationContext):
-        if not eval_ctx.use_plans:
-            return None
         if state["version"] != registry.version:
             udfs = []
             for name in names:

@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Tuple
 from ..adm.values import MISSING
 from ..errors import SqlppEvaluationError
 from ..storage.index import IndexKind
-from .analysis import references_only, split_conjuncts
+from .analysis import split_conjuncts
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -66,7 +66,7 @@ from .ast import (
     UnaryOp,
     VarRef,
 )
-from .evaluator import Env, _sort_key
+from .evaluator import Env
 from .functions import AGGREGATE_NAMES, BUILTINS, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
 from .plans import (
@@ -75,6 +75,7 @@ from .plans import (
     apply_binary,
     default_alias,
     find_access_path,
+    sort_key,
     truthy,
 )
 
@@ -915,7 +916,7 @@ def _compile_row_shape(
                         # _order_env would rebind row keys — scalar only
                         raise KernelFallback("dict rows under ORDER BY")
                 pairs = [
-                    (_sort_key(order_fn(m)), row)
+                    (sort_key(order_fn(m)), row)
                     for m, row in zip(matches, rows)
                 ]
                 pairs.sort(key=_item0, reverse=descending)

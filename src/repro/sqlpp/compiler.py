@@ -31,15 +31,9 @@ from ..hyracks.operators import (
     SortOperator,
 )
 from ..hyracks.operators.sort_group import Aggregator, HashGroupByOperator
-from .analysis import contains_aggregate
 from .ast import Expr, SelectBlock, VarRef
-from .evaluator import (
-    EvaluationContext,
-    Env,
-    Evaluator,
-    _sort_key,
-    _truthy,
-)
+from .evaluator import EvaluationContext, Env, Evaluator
+from .plans import equality_key, has_top_level_aggregate, truthy
 
 
 class CompiledQuery:
@@ -130,14 +124,9 @@ class QueryCompiler:
         if block.distinct:
             return False
         # Aggregates without GROUP BY need a global fold; keep those central.
-        if not block.group_keys and self._has_aggregate(block):
+        if not block.group_keys and has_top_level_aggregate(block):
             return False
         return True
-
-    def _has_aggregate(self, block: SelectBlock) -> bool:
-        if block.select_value is not None and contains_aggregate(block.select_value):
-            return True
-        return any(contains_aggregate(p.expr) for p in block.projections)
 
     # ------------------------------------------------------- interpreter path
 
@@ -151,6 +140,7 @@ class QueryCompiler:
     def _run_hyracks(self, block: SelectBlock) -> List:
         ctx = self.fresh_context()
         evaluator = Evaluator(ctx)
+        plan = ctx.plan_cache.plan_for(block, frozenset(), self.catalog)
         term = block.from_terms[0]
         dataset = self.catalog[term.source.name]
         var = term.var
@@ -159,17 +149,12 @@ class QueryCompiler:
         def bind(record: dict) -> Optional[dict]:
             """Evaluate post-LETs into an env record for downstream exprs."""
             env = Env({var: record})
-            binding = {var: record}
-            for let in block.post_lets:
-                value = evaluator.evaluate(let.expr, env)
-                env.vars[let.var] = value
-                binding[let.var] = value
-            return binding
+            for let_var, fn in plan.post_let_fns:
+                env.vars[let_var] = fn(evaluator, env)
+            return env.vars
 
         def where_ok(binding: dict) -> bool:
-            if block.where is None:
-                return True
-            return _truthy(evaluator.evaluate(block.where, Env(dict(binding))))
+            return truthy(plan.where_fn(evaluator, Env(dict(binding))))
 
         spec = JobSpecification("query")
         scan = spec.add_operator(
@@ -182,7 +167,7 @@ class QueryCompiler:
         )
         spec.connect(scan, assign, OneToOne())
         upstream = assign
-        if block.where is not None:
+        if plan.where_fn is not None:
             flt = spec.add_operator(
                 OperatorDescriptor("filter", lambda c: FilterOperator(c, where_ok), n)
             )
@@ -190,15 +175,12 @@ class QueryCompiler:
             upstream = flt
 
         results: List = []
-        if block.group_keys:
-            upstream = self._attach_group_by(spec, upstream, block, evaluator, n)
-            sink_input = self._attach_order_limit_project(
-                spec, upstream, block, evaluator, grouped=True
-            )
-        else:
-            sink_input = self._attach_order_limit_project(
-                spec, upstream, block, evaluator, grouped=False
-            )
+        grouped = bool(plan.group_keys)
+        if grouped:
+            upstream = self._attach_group_by(spec, upstream, plan, evaluator, n)
+        sink_input = self._attach_order_limit_project(
+            spec, upstream, plan, evaluator, grouped
+        )
         sink = spec.add_operator(
             OperatorDescriptor("result", lambda c: CollectSink(c, results), 1)
         )
@@ -206,18 +188,16 @@ class QueryCompiler:
         self.cluster.controller.run_job(spec)
         return results
 
-    def _attach_group_by(self, spec, upstream, block, evaluator, n):
-        key_exprs = [k.expr for k in block.group_keys]
+    def _attach_group_by(self, spec, upstream, plan, evaluator, n):
+        key_fns = [fn for _expr, _alias, _default, fn in plan.group_keys]
 
         def key_fn(binding: dict):
             env = Env(dict(binding))
-            return tuple(
-                _sort_key(evaluator.evaluate(expr, env)) for expr in key_exprs
-            )
+            return tuple(equality_key(fn(evaluator, env)) for fn in key_fns)
 
         def raw_keys(binding: dict):
             env = Env(dict(binding))
-            return tuple(evaluator.evaluate(expr, env) for expr in key_exprs)
+            return tuple(fn(evaluator, env) for fn in key_fns)
 
         collect = Aggregator(
             "__group__", lambda: [], lambda acc, record: acc + [record]
@@ -239,26 +219,25 @@ class QueryCompiler:
         spec.connect(upstream, gby, HashPartition(key_fn))
         return gby
 
-    def _attach_order_limit_project(self, spec, upstream, block, evaluator, grouped):
-        n_out = 1 if (block.order_items or block.limit is not None) else None
+    def _attach_order_limit_project(self, spec, upstream, plan, evaluator, grouped):
+        n_out = 1 if (plan.order_items or plan.limit_fn is not None) else None
+
+        def env_for(binding: dict) -> Env:
+            if grouped:
+                return self._group_env(plan, binding)
+            return Env(dict(binding))
 
         def project(binding: dict):
-            if grouped:
-                return self._project_group(block, evaluator, binding)
-            env = Env(dict(binding))
-            return evaluator._project(block, env)
+            return evaluator._planned_project(plan, env_for(binding))
 
-        if block.order_items:
+        if plan.order_items:
 
             def order_key(binding: dict):
-                if grouped:
-                    env = self._group_env(block, evaluator, binding)
-                else:
-                    env = Env(dict(binding))
+                env = env_for(binding)
                 # ORDER BY may reference SELECT output aliases, so the
                 # sort key is computed against the projected row too.
-                row = evaluator._project(block, env)
-                return evaluator._order_key_for(block, env, row)
+                row = evaluator._planned_project(plan, env)
+                return evaluator._planned_order_key(plan, env, row)
 
             sorter = spec.add_operator(
                 OperatorDescriptor(
@@ -267,9 +246,8 @@ class QueryCompiler:
             )
             spec.connect(upstream, sorter, OneToOne())
             upstream = sorter
-        if block.limit is not None:
-            ctx0 = self.fresh_context()
-            limit_value = Evaluator(ctx0).evaluate_query(block.limit)
+        if plan.limit_fn is not None:
+            limit_value = plan.limit_fn(evaluator, Env())
             from ..hyracks.operators import LimitOperator
 
             limiter = spec.add_operator(
@@ -291,26 +269,19 @@ class QueryCompiler:
         spec.connect(upstream, projector, OneToOne())
         return projector
 
-    def _group_env(self, block, evaluator, group_record: dict) -> Env:
+    @staticmethod
+    def _group_env(plan, group_record: dict) -> Env:
         env = Env({})
         env.group = [Env(dict(binding)) for binding in group_record["__group__"]]
         env.group_key_values = {}
         keys = group_record["__keys__"] or ()
-        for key_spec, value in zip(block.group_keys, keys):
-            env.group_key_values[key_spec.expr] = value
-            if key_spec.alias:
-                env.vars[key_spec.alias] = value
-            else:
-                from .evaluator import _default_alias
-
-                name = _default_alias(key_spec.expr, fallback=None)
-                if name:
-                    env.vars.setdefault(name, value)
+        for (expr, alias, default_name, _fn), value in zip(plan.group_keys, keys):
+            env.group_key_values[expr] = value
+            if alias:
+                env.vars[alias] = value
+            elif default_name:
+                env.vars.setdefault(default_name, value)
         return env
-
-    def _project_group(self, block, evaluator, group_record: dict):
-        env = self._group_env(block, evaluator, group_record)
-        return evaluator._project(block, env)
 
 
 def run_insert(

@@ -1,8 +1,8 @@
 """SQL++ evaluation with per-batch access plans (Model 2 semantics).
 
-The interpreter evaluates any expression of the subset against the stored
-catalog.  Its crucial property for the paper is *how* it accesses reference
-datasets:
+The evaluator walks scalar expressions of the subset and runs every SELECT
+block through its compiled :class:`~repro.sqlpp.plans.SelectPlan`.  Its
+crucial property for the paper is *how* it accesses reference datasets:
 
 * **batch-cached hash access** — an equality-correlated subquery over a
   dataset without a matching index scans the dataset once per
@@ -36,11 +36,6 @@ from ..adm.values import MISSING
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
 from ..storage.index import IndexKind
-from .analysis import (
-    contains_aggregate,
-    free_vars,
-    split_conjuncts,
-)
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -49,7 +44,6 @@ from .ast import (
     Exists,
     Expr,
     FieldAccess,
-    FromTerm,
     IndexAccess,
     Literal,
     MissingLiteral,
@@ -69,15 +63,12 @@ from .plans import (
     TermPlan,
     aggregate_values,
     apply_binary,
-    default_alias,
-    match_equality,
-    match_spatial,
-    other_side_center,
+    equality_key,
+    sort_key,
     truthy,
 )
-from .plans import find_access_path as _plan_find_access_path
 from .memo import canonical_probe_key
-from .state_cache import StateCache, dataset_version_key
+from .state_cache import dataset_version_key
 
 
 class EvaluationContext:
@@ -90,7 +81,6 @@ class EvaluationContext:
         meter: Optional[WorkMeter] = None,
         allow_index: bool = True,
         reference_work_scale: float = 1.0,
-        use_plans: bool = True,
         state_cache=None,
         memo=None,
     ):
@@ -111,7 +101,6 @@ class EvaluationContext:
         # Compile-once plans (§5.2 analog): share the registry's cache when
         # there is one, so plans survive across per-batch contexts and are
         # invalidated centrally on function UPSERTs / DDL.
-        self.use_plans = use_plans
         registry_cache = getattr(functions, "plan_cache", None)
         self.plan_cache: PlanCache = (
             registry_cache if registry_cache is not None else PlanCache()
@@ -175,9 +164,6 @@ class Env:
             env = env.parent
         return Env._SENTINEL
 
-    def is_bound(self, name: str) -> bool:
-        return self.lookup(name) is not Env._SENTINEL
-
     def bound_names(self) -> Set[str]:
         names: Set[str] = set()
         env: Optional[Env] = self
@@ -193,29 +179,11 @@ class Env:
         return self._group_env
 
 
-# SQL++ WHERE semantics: NULL/MISSING are not true (shared with plans.py).
-_truthy = truthy
-
 _ITEM0 = itemgetter(0)
 
 # Returned by _memoized_correlated when the memo proof does not hold and
 # the caller must fall through to a live _planned_select evaluation.
 _MEMO_BYPASS = object()
-
-
-def _sort_key(value):
-    """Total order across mixed/unknown values: MISSING < NULL < typed."""
-    if value is MISSING:
-        return (0, 0)
-    if value is None:
-        return (1, 0)
-    if isinstance(value, bool):
-        return (2, value)
-    if isinstance(value, (int, float)):
-        return (3, value)
-    if isinstance(value, str):
-        return (4, value)
-    return (5, repr(value))
 
 
 class Evaluator:
@@ -255,7 +223,7 @@ class Evaluator:
             return value
         dataset = self.ctx.dataset(expr.name)
         if dataset is not None:
-            return _DatasetRef(dataset)
+            return DatasetRef(dataset)
         raise SqlppAnalysisError(f"unresolved variable: {expr.name}")
 
     def _eval_field(self, expr: FieldAccess, env: Env):
@@ -301,14 +269,14 @@ class Evaluator:
         op = expr.op
         if op == "and":
             left = self.evaluate(expr.left, env)
-            if not _truthy(left):
+            if not truthy(left):
                 return False
-            return _truthy(self.evaluate(expr.right, env))
+            return truthy(self.evaluate(expr.right, env))
         if op == "or":
             left = self.evaluate(expr.left, env)
-            if _truthy(left):
+            if truthy(left):
                 return True
-            return _truthy(self.evaluate(expr.right, env))
+            return truthy(self.evaluate(expr.right, env))
         left = self.evaluate(expr.left, env)
         right = self.evaluate(expr.right, env)
         return apply_binary(op, left, right)
@@ -351,7 +319,7 @@ class Evaluator:
                     value = self.evaluate(arg, tuple_env)
                     if value is not MISSING and value is not None:
                         values.append(value)
-            return _aggregate(name, values)
+            return aggregate_values(name, values)
         # No group: SQL++ array form — the argument must be a collection.
         if not expr.args:
             raise SqlppEvaluationError(f"{name}() requires an argument")
@@ -365,7 +333,7 @@ class Evaluator:
                 f"{name}() outside GROUP BY requires an array argument"
             )
         cleaned = [v for v in value if v is not None and v is not MISSING]
-        return _aggregate(name, cleaned)
+        return aggregate_values(name, cleaned)
 
     # ----------------------------------------------------------- other nodes
 
@@ -377,7 +345,7 @@ class Evaluator:
                     return self.evaluate(value, env)
         else:
             for cond, value in expr.whens:
-                if _truthy(self.evaluate(cond, env)):
+                if truthy(self.evaluate(cond, env)):
                     return self.evaluate(value, env)
         if expr.default is not None:
             return self.evaluate(expr.default, env)
@@ -409,264 +377,40 @@ class Evaluator:
     # ---------------------------------------------------------------- select
 
     def _cached_select(self, block: SelectBlock, env: Env):
-        """Evaluate a select block, caching it when it has no outer refs.
+        """Evaluate a select block through its compiled plan.
 
-        Cacheable = every free variable is a catalog dataset.  The cache
-        lives for one context generation (one batch), implementing the
-        stale-until-next-batch top-10 list of Figure 18.
-
-        With ``use_plans`` (the default) the block's compiled plan carries
-        the cacheability verdict and all structural analysis; the
-        interpreted fallback re-derives them per call.  Both paths key the
-        batch cache by the plan cache's stable token — never raw ``id()``,
-        which can be recycled after the block is garbage-collected.
+        A block with no outer refs (every free variable is a catalog
+        dataset) is cached for one context generation (one batch),
+        implementing the stale-until-next-batch top-10 list of Figure 18.
+        The batch cache is keyed by the plan cache's stable token — never
+        raw ``id()``, which can be recycled after the block is
+        garbage-collected.
         """
         ctx = self.ctx
-        if ctx.use_plans:
-            plan = ctx.plan_cache.plan_for(block, env.bound_names(), ctx.catalog)
-            if plan.cacheable:
-                key = ("uncorrelated", plan.token)
-                if key not in ctx.batch_cache:
-                    version_key = None
-                    if ctx.state_cache is not None:
-                        version_key = dataset_version_key(
-                            ctx.catalog, plan.dataset_deps
-                        )
-                        reused = self._reuse_cached_state(
-                            key, key, version_key
-                        )
-                        if reused is not None:
-                            return reused
-                    result = self._planned_select(
-                        plan, env, meter=ctx.shared_meter
-                    )
-                    ctx.batch_cache[key] = result
-                    if version_key is not None:
-                        self._install_built_state(
-                            key, version_key, result, len(result)
-                        )
-                return ctx.batch_cache[key]
-            if (
-                ctx.memo is not None
-                and plan.correlated_vars
-                and plan.correlated_deps
-            ):
-                result = self._memoized_correlated(plan, env)
-                if result is not _MEMO_BYPASS:
-                    return result
-            return self._planned_select(plan, env)
-        fv = free_vars(block)
-        if fv and all(name in ctx.catalog for name in fv):
-            key = ("uncorrelated", ctx.plan_cache.token_for(block))
+        plan = ctx.plan_cache.plan_for(block, env.bound_names(), ctx.catalog)
+        if plan.cacheable:
+            key = ("uncorrelated", plan.token)
             if key not in ctx.batch_cache:
                 version_key = None
                 if ctx.state_cache is not None:
-                    version_key = dataset_version_key(ctx.catalog, fv)
+                    version_key = dataset_version_key(
+                        ctx.catalog, plan.dataset_deps
+                    )
                     reused = self._reuse_cached_state(key, key, version_key)
                     if reused is not None:
                         return reused
-                result = self.evaluate_select(
-                    block, env, meter=ctx.shared_meter
-                )
+                result = self._planned_select(plan, env, meter=ctx.shared_meter)
                 ctx.batch_cache[key] = result
                 if version_key is not None:
                     self._install_built_state(
                         key, version_key, result, len(result)
                     )
             return ctx.batch_cache[key]
-        return self.evaluate_select(block, env)
-
-    def evaluate_select(
-        self, block: SelectBlock, env: Env, meter: Optional[WorkMeter] = None
-    ) -> List:
-        """Full SELECT block evaluation; returns a list of results."""
-        saved_meter = None
-        if meter is not None:
-            saved_meter = self.ctx.meter
-            self.ctx.meter = meter
-        try:
-            return self._evaluate_select(block, env)
-        finally:
-            if saved_meter is not None:
-                self.ctx.meter = saved_meter
-
-    def _evaluate_select(self, block: SelectBlock, env: Env) -> List:
-        scope = env.child()
-        for let in block.lets:
-            scope.vars[let.var] = self.evaluate(let.expr, scope)
-
-        if block.from_terms:
-            tuple_envs = self._generate_tuples(block, scope)
-        else:
-            single = scope.child()
-            for let in block.post_lets:
-                single.vars[let.var] = self.evaluate(let.expr, single)
-            if block.where is not None and not _truthy(
-                self.evaluate(block.where, single)
-            ):
-                tuple_envs = []
-            else:
-                tuple_envs = [single]
-
-        implicit_group = (
-            not block.group_keys
-            and block.from_terms
-            and self._has_top_level_aggregate(block)
-        )
-        if block.group_keys or implicit_group:
-            rows = self._grouped_output(block, scope, tuple_envs, implicit_group)
-        else:
-            rows = self._ordered_projected(block, tuple_envs)
-
-        if block.distinct:
-            rows = _distinct_rows(rows)
-        if block.limit is not None:
-            limit = self.evaluate(block.limit, scope)
-            if not isinstance(limit, int) or limit < 0:
-                raise SqlppEvaluationError("LIMIT must be a non-negative integer")
-            rows = rows[:limit]
-        return rows
-
-    def _has_top_level_aggregate(self, block: SelectBlock) -> bool:
-        if block.select_value is not None and contains_aggregate(block.select_value):
-            return True
-        return any(contains_aggregate(p.expr) for p in block.projections)
-
-    # ------------------------------------------------------- tuple generation
-
-    def _generate_tuples(self, block: SelectBlock, scope: Env) -> List[Env]:
-        conjuncts = split_conjuncts(block.where)
-        outer_bound = scope.bound_names() - set(self.ctx.catalog)
-        order = self._order_terms(block.from_terms, conjuncts, outer_bound, block)
-        tuples: List[Env] = []
-
-        def recurse(idx: int, env_cur: Env, bound: Set[str], dataset_depth: int):
-            if idx == len(order):
-                final = env_cur.child()
-                for let in block.post_lets:
-                    final.vars[let.var] = self.evaluate(let.expr, final)
-                if block.where is not None and not _truthy(
-                    self.evaluate(block.where, final)
-                ):
-                    return
-                tuples.append(final)
-                return
-            term = order[idx]
-            is_dataset_term = (
-                isinstance(term.source, VarRef)
-                and term.source.name in self.ctx.catalog
-                and not env_cur.is_bound(term.source.name)
-            )
-            candidates = self._access_term(term, conjuncts, env_cur, bound, block)
-            if is_dataset_term and dataset_depth >= 1:
-                # Reference-to-reference join pairs: the outer side's
-                # candidate count is itself scaled down, so the pair work
-                # carries one extra reference-work-scale factor (pair counts
-                # are quadratic in dataset cardinality; the meter applies
-                # the other factor).
-                candidates = list(candidates)
-                self.ctx.meter.nlj_pairs += int(
-                    len(candidates) * self.ctx.reference_work_scale
-                )
-            for record in candidates:
-                recurse(
-                    idx + 1,
-                    env_cur.child({term.var: record}),
-                    bound | {term.var},
-                    dataset_depth + (1 if is_dataset_term else 0),
-                )
-
-        recurse(0, scope, set(outer_bound), 0)
-        return tuples
-
-    def _order_terms(
-        self,
-        terms: List[FromTerm],
-        conjuncts: List[Expr],
-        outer_bound: Set[str],
-        block: SelectBlock,
-    ) -> List[FromTerm]:
-        """Greedy join-order: pick next the term with a usable access path."""
-        remaining = list(terms)
-        ordered: List[FromTerm] = []
-        bound = set(outer_bound)
-        while remaining:
-            chosen = None
-            for term in remaining:
-                if self._find_access_path(term, conjuncts, bound, block) is not None:
-                    chosen = term
-                    break
-            if chosen is None:
-                chosen = remaining[0]
-            ordered.append(chosen)
-            remaining.remove(chosen)
-            bound.add(chosen.var)
-        return ordered
-
-    # ----------------------------------------------------------- access paths
-
-    def _find_access_path(
-        self,
-        term: FromTerm,
-        conjuncts: List[Expr],
-        bound: Set[str],
-        block: SelectBlock,
-    ):
-        """Return ("equality"|"spatial", field, probe_expr_builder) or None."""
-        return _plan_find_access_path(
-            term, conjuncts, bound, frozenset(self.ctx.catalog)
-        )
-
-    def _access_term(
-        self,
-        term: FromTerm,
-        conjuncts: List[Expr],
-        env: Env,
-        bound: Set[str],
-        block: SelectBlock,
-    ) -> Iterable:
-        source = term.source
-        # Non-dataset sources: evaluate and iterate.
-        if not (
-            isinstance(source, VarRef)
-            and source.name in self.ctx.catalog
-            and not env.is_bound(source.name)
-        ):
-            value = self.evaluate(source, env)
-            if isinstance(value, _DatasetRef):
-                return self._scan_dataset(value.dataset)
-            if value is MISSING or value is None:
-                return []
-            if isinstance(value, list):
-                return value
-            raise SqlppEvaluationError(
-                f"FROM source for {term.var!r} is not iterable"
-            )
-
-        dataset = self.ctx.catalog[source.name]
-        no_index = "no-index" in term.hints or "no-index" in block.hints
-        path = self._find_access_path(term, conjuncts, bound, block)
-        if path is not None:
-            kind, field, probe_builder = path
-            if kind == "equality":
-                probe_value = self.evaluate(probe_builder, env)
-                index_name = (
-                    dataset.index_on(field, IndexKind.BTREE) if not no_index else None
-                )
-                if index_name is not None and self.ctx.allow_index:
-                    return self._btree_probe(dataset, index_name, probe_value)
-                return self._hash_probe(dataset, field, probe_value)
-            if kind == "spatial":
-                index_name = (
-                    dataset.index_on(field, IndexKind.RTREE) if not no_index else None
-                )
-                if index_name is not None and self.ctx.allow_index:
-                    query = self.evaluate(probe_builder, env)
-                    if query is MISSING or query is None:
-                        return []
-                    return self._rtree_probe(dataset, index_name, query)
-                # no index: fall through to a batch-cached scan (naive NLJ)
-        return self._scan_dataset(dataset)
+        if ctx.memo is not None and plan.correlated_vars and plan.correlated_deps:
+            result = self._memoized_correlated(plan, env)
+            if result is not _MEMO_BYPASS:
+                return result
+        return self._planned_select(plan, env)
 
     # Access-path implementations ------------------------------------------
 
@@ -848,104 +592,13 @@ class Evaluator:
             return child
         return env
 
-    def _order_key_for(self, block: SelectBlock, env: Env, row) -> Tuple:
-        oenv = self._order_env(env, row)
-        return tuple(
-            _OrderKey(_sort_key(self.evaluate(item.expr, oenv)), item.descending)
-            for item in block.order_items
-        )
-
-    def _ordered_projected(self, block: SelectBlock, tuple_envs: List[Env]) -> List:
-        rows = [self._project(block, env) for env in tuple_envs]
-        if block.order_items:
-            self.ctx.meter.sort_items += len(rows)
-            decorated = [
-                (self._order_key_for(block, env, row), index, row)
-                for index, (env, row) in enumerate(zip(tuple_envs, rows))
-            ]
-            decorated.sort(key=lambda item: (item[0], item[1]))
-            rows = [row for _key, _index, row in decorated]
-        return rows
-
-    def _grouped_output(
-        self,
-        block: SelectBlock,
-        scope: Env,
-        tuple_envs: List[Env],
-        implicit: bool,
-    ) -> List:
-        self.ctx.meter.group_items += len(tuple_envs)
-        groups: Dict[Tuple, List[Env]] = {}
-        group_order: List[Tuple] = []
-        if implicit:
-            key_values: List[Tuple] = [()] * len(tuple_envs)
-        else:
-            key_values = [
-                tuple(self.evaluate(k.expr, env) for k in block.group_keys)
-                for env in tuple_envs
-            ]
-        for env, key in zip(tuple_envs, key_values):
-            hashable = tuple(_sort_key(v) for v in key)
-            if hashable not in groups:
-                groups[hashable] = []
-                group_order.append((hashable, key))
-            groups[hashable].append(env)
-        if implicit and not tuple_envs:
-            # SQL semantics: aggregates over an empty input yield one row.
-            group_order.append(((), ()))
-            groups[()] = []
-
-        group_envs: List[Env] = []
-        for hashable, key in group_order:
-            members = groups[hashable]
-            genv = scope.child()
-            genv.group = members
-            genv.group_key_values = {}
-            for key_spec, value in zip(block.group_keys, key):
-                genv.group_key_values[key_spec.expr] = value
-                if key_spec.alias:
-                    genv.vars[key_spec.alias] = value
-                else:
-                    # allow referring to the key by its last path component
-                    name = _default_alias(key_spec.expr, fallback=None)
-                    if name:
-                        genv.vars.setdefault(name, value)
-            group_envs.append(genv)
-
-        rows = [self._project(block, genv) for genv in group_envs]
-        if block.order_items:
-            self.ctx.meter.sort_items += len(group_envs)
-            decorated = [
-                (self._order_key_for(block, genv, row), index, row)
-                for index, (genv, row) in enumerate(zip(group_envs, rows))
-            ]
-            decorated.sort(key=lambda item: (item[0], item[1]))
-            rows = [row for _key, _index, row in decorated]
-        return rows
-
-    def _project(self, block: SelectBlock, env: Env):
-        if block.select_value is not None:
-            return self.evaluate(block.select_value, env)
-        out: Dict[str, object] = {}
-        for position, proj in enumerate(block.projections, start=1):
-            if isinstance(proj.expr, Star):
-                base = self.evaluate(proj.expr.base, env)
-                if isinstance(base, dict):
-                    out.update(base)
-                continue
-            name = proj.alias or _default_alias(proj.expr, fallback=f"${position}")
-            value = self.evaluate(proj.expr, env)
-            if value is not MISSING:
-                out[name] = value
-        return out
-
     # -------------------------------------------------------- planned path
     #
-    # Mirrors of the interpreted SELECT machinery above, driven by a
-    # compiled :class:`~repro.sqlpp.plans.SelectPlan` instead of the AST.
-    # Every WorkMeter charge and every batch-cache/visibility rule must
-    # stay byte-identical to the interpreted path — the access primitives
-    # (_scan_dataset/_hash_probe/_btree_probe/_rtree_probe) are shared.
+    # SELECT evaluation driven by a compiled
+    # :class:`~repro.sqlpp.plans.SelectPlan`.  Every WorkMeter charge and
+    # batch-cache/visibility rule lives in the access primitives above
+    # (_scan_dataset/_hash_probe/_btree_probe/_rtree_probe), which the
+    # columnar kernels share.
 
     def _planned_select(
         self, plan: SelectPlan, env: Env, meter: Optional[WorkMeter] = None
@@ -971,7 +624,7 @@ class Evaluator:
             single = scope.child()
             for var, fn in plan.post_let_fns:
                 single.vars[var] = fn(self, single)
-            if plan.where_fn is not None and not _truthy(
+            if plan.where_fn is not None and not truthy(
                 plan.where_fn(self, single)
             ):
                 tuple_envs = []
@@ -1010,7 +663,7 @@ class Evaluator:
                     # no post-FROM LETs: the last term's binding env IS the
                     # tuple env (fresh per candidate, so safe to keep)
                     final = env_cur
-                if where_fn is not None and not _truthy(where_fn(self, final)):
+                if where_fn is not None and not truthy(where_fn(self, final)):
                     return
                 tuples.append(final)
                 return
@@ -1038,7 +691,7 @@ class Evaluator:
         # Non-dataset sources: evaluate and iterate.
         if not tp.is_dataset:
             value = tp.source_fn(self, env)
-            if isinstance(value, _DatasetRef):
+            if isinstance(value, DatasetRef):
                 return self._scan_dataset(value.dataset)
             if value is MISSING or value is None:
                 return []
@@ -1077,9 +730,9 @@ class Evaluator:
         items = plan.order_items
         if len(items) == 1:  # by far the common case; skip the genexpr
             fn, descending = items[0]
-            return (_OrderKey(_sort_key(fn(self, oenv)), descending),)
+            return (_OrderKey(sort_key(fn(self, oenv)), descending),)
         return tuple(
-            _OrderKey(_sort_key(fn(self, oenv)), descending)
+            _OrderKey(sort_key(fn(self, oenv)), descending)
             for fn, descending in items
         )
 
@@ -1094,7 +747,7 @@ class Evaluator:
             # order-identical (ties keep input order either way).
             fn, descending = items[0]
             pairs = [
-                (_sort_key(fn(self, self._order_env(env, row))), row)
+                (sort_key(fn(self, self._order_env(env, row))), row)
                 for env, row in zip(envs, rows)
             ]
             pairs.sort(key=_ITEM0, reverse=descending)
@@ -1129,7 +782,7 @@ class Evaluator:
                 for env in tuple_envs
             ]
         for env, key in zip(tuple_envs, key_values):
-            hashable = tuple(_sort_key(v) for v in key)
+            hashable = tuple(equality_key(v) for v in key)
             if hashable not in groups:
                 groups[hashable] = []
                 group_order.append((hashable, key))
@@ -1195,32 +848,16 @@ class _OrderKey:
         return self.key == other.key
 
 
-# Shared with the plan compiler (plans.py); kept under the historical
-# module-private names for existing importers (compiler.py, tests).
-_DatasetRef = DatasetRef
-_default_alias = default_alias
-
-
-# Aggregate folding lives in plans.py (shared with compiled aggregate
-# closures); historical module-private alias:
-_aggregate = aggregate_values
-
-
 def _distinct_rows(rows: List) -> List:
+    """Keep the first of each set of rows that SQL++ treats as equal."""
     seen = set()
     out = []
     for row in rows:
-        key = repr(row)
+        key = equality_key(row)
         if key not in seen:
             seen.add(key)
             out.append(row)
     return out
-
-
-# Pattern matchers for access-path selection live in plans.py (they are
-# shared by plan building); historical module-private aliases:
-_match_equality = match_equality
-_match_spatial = match_spatial
 
 
 # Bind the dispatch table now that all methods exist.

@@ -17,9 +17,8 @@ What is deliberately *not* decided at plan time:
   chosen path without any plan invalidation;
 * per-batch visibility — the plan calls back into the evaluator's
   ``_scan_dataset`` / ``_hash_probe`` / ``_btree_probe`` / ``_rtree_probe``
-  primitives, so the generation rules (hash builds stale-within-batch,
-  index probes live) and every ``WorkMeter`` charge are byte-identical to
-  interpreted evaluation.
+  primitives, which own the generation rules (hash builds
+  stale-within-batch, index probes live) and every ``WorkMeter`` charge.
 
 Closures are duck-typed ``fn(evaluator, env) -> value``; this module never
 imports the evaluator (the evaluator imports *us*), which keeps the layer
@@ -100,6 +99,38 @@ def truthy(value) -> bool:
     if value is MISSING or value is None:
         return False
     return bool(value)
+
+
+def sort_key(value):
+    """Total order across mixed/unknown values: MISSING < NULL < typed."""
+    if value is MISSING:
+        return (0, 0)
+    if value is None:
+        return (1, 0)
+    if isinstance(value, bool):
+        return (2, value)
+    if isinstance(value, (int, float)):
+        return (3, value)
+    if isinstance(value, str):
+        return (4, value)
+    return (5, repr(value))
+
+
+def equality_key(value):
+    """Hashable key under which DISTINCT and GROUP BY treat values as equal.
+
+    Scalars key exactly as :func:`sort_key` (``1`` meets ``1.0``, ``true``
+    stays apart from ``1``); arrays key element-wise and objects by their
+    fields sorted by name, so field order does not split equal objects.
+    """
+    if isinstance(value, list):
+        return (6, tuple(equality_key(item) for item in value))
+    if isinstance(value, dict):
+        return (
+            7,
+            tuple(sorted((name, equality_key(item)) for name, item in value.items())),
+        )
+    return sort_key(value)
 
 
 def add_values(left, right):
@@ -246,18 +277,11 @@ def match_spatial(conjunct: Expr, var: str, allowed: Set[str]):
                 and references_only(radius, outer_allowed)
                 and references_only(other_side, outer_allowed)
             ):
-                probe = Call("create_circle", (other_side_center(other_side), radius))
+                # the outer side is the circle's center (it must
+                # evaluate to a point)
+                probe = Call("create_circle", (other_side, radius))
                 return (path, probe)
     return None
-
-
-def other_side_center(expr: Expr) -> Expr:
-    """The probe center for the circle-flip rewrite.
-
-    If the outer side is ``create_point(x, y)`` we can use it directly;
-    any other expression is used as-is (it must evaluate to a point).
-    """
-    return expr
 
 
 def find_access_path(
@@ -465,7 +489,7 @@ def _compile_aggregate(expr: Call, lowered: str) -> Callable:
     Mirrors ``Evaluator._eval_aggregate`` exactly — grouped form folds the
     argument over the member envs, ungrouped form is the SQL++ array form.
     Malformed corner cases (no argument, ``*`` outside a group) delegate to
-    the interpreted method so error messages stay identical.
+    ``Evaluator._eval_aggregate`` so error messages stay identical.
     """
     count_star = bool(expr.args) and isinstance(expr.args[0], Star)
     arg_fn = None
@@ -774,9 +798,9 @@ def _plan_from_terms(
 ) -> Tuple[TermPlan, ...]:
     """Join-order the FROM terms and fix each term's access decision.
 
-    Mirrors ``Evaluator._generate_tuples``: the greedy ordering and the
-    access-path match depend only on the AST, the names visible outside
-    the block, and the catalog's dataset names — all fixed per plan.
+    The greedy ordering and the access-path match depend only on the AST,
+    the names visible outside the block, and the catalog's dataset names —
+    all fixed per plan.
     """
     conjuncts = split_conjuncts(block.where)
     scope_names = set(bound_names)

@@ -141,9 +141,7 @@ def test_scalar_and_columnar_feeds_store_identical_records():
     reference = build_system(VECTORIZABLE_BODY)
     from repro.sqlpp import EvaluationContext
 
-    ctx = EvaluationContext(
-        reference.catalog, functions=reference.registry, use_plans=True
-    )
+    ctx = EvaluationContext(reference.catalog, functions=reference.registry)
     expected = {}
     for position, raw in enumerate(raw_tweets(50)):
         if position and position % BATCH == 0:

@@ -33,7 +33,7 @@ def _compile(ctx, source):
 
 
 def _ctx(small_catalog, registry):
-    return EvaluationContext(small_catalog, functions=registry, use_plans=True)
+    return EvaluationContext(small_catalog, functions=registry)
 
 
 # ------------------------------------------------------- whole-block shapes
@@ -261,13 +261,6 @@ def test_batch_invoker_declines_java_functions(registry):
     ]
     assert make_batch_invoker(attached, registry) is None
     assert make_batch_invoker([], registry) is None
-
-
-def test_batch_invoker_requires_plans(small_catalog, registry, sample_tweet):
-    invoker = make_batch_invoker([AttachedFunction("enrichTweetQ1")], registry)
-    assert invoker is not None
-    ctx = EvaluationContext(small_catalog, functions=registry, use_plans=False)
-    assert invoker([dict(sample_tweet)], ctx) is None
 
 
 def test_batch_invoker_counts_unsupported_bodies(

@@ -54,7 +54,7 @@ def _tweet_sample(sample_tweet):
 
 
 def _run_scalar(catalog, registry, fn_name, tweets):
-    ctx = EvaluationContext(catalog, functions=registry, use_plans=True)
+    ctx = EvaluationContext(catalog, functions=registry)
     invoker = make_invoker([AttachedFunction(fn_name)], registry)
     out = []
     for position, tweet in enumerate(tweets):
@@ -65,7 +65,7 @@ def _run_scalar(catalog, registry, fn_name, tweets):
 
 
 def _run_batched(catalog, registry, fn_name, tweets):
-    ctx = EvaluationContext(catalog, functions=registry, use_plans=True)
+    ctx = EvaluationContext(catalog, functions=registry)
     invoker = make_batch_invoker([AttachedFunction(fn_name)], registry)
     assert invoker is not None
     out = []

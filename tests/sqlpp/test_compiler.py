@@ -107,6 +107,23 @@ class TestStrategySelection:
         assert compiled.execute() == [1, 2]
 
 
+class TestGroupKeyEquality:
+    def test_object_keys_group_regardless_of_field_order(self):
+        ds = Dataset("Shapes", open_type("T", id="int64"), "id", num_partitions=3,
+                     validate=False)
+        for i, shape in enumerate(
+            [{"w": 1, "h": 2}, {"h": 2, "w": 1}, {"w": 2, "h": 1}, {"w": 1.0, "h": 2}]
+        ):
+            ds.insert({"id": i, "shape": shape})
+        catalog = {"Shapes": ds}
+        query = "SELECT s.shape AS shape, count(*) AS n FROM Shapes s GROUP BY s.shape"
+        compiled = QueryCompiler(Cluster(3), catalog).compile(parse_expression(query))
+        assert compiled.strategy == "hyracks"
+        got = sorted(row["n"] for row in compiled.execute())
+        assert got == [1, 3]
+        assert got == sorted(row["n"] for row in interpret(catalog, query))
+
+
 class TestRunInsert:
     def test_insert_job_routes_and_counts(self, setup):
         cluster, catalog, _compiler = setup

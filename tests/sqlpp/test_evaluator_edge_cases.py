@@ -99,6 +99,30 @@ class TestGroupEdgeCases:
         assert got == ["big"]
 
 
+class TestDistinctMatchesGroupEquality:
+    """DISTINCT and GROUP BY agree on which values are equal."""
+
+    def test_distinct_merges_int_and_equal_double(self):
+        assert run("SELECT DISTINCT VALUE x FROM [1, 1.0, 2] x") == [1, 2]
+
+    def test_distinct_ignores_object_field_order(self):
+        got = run("SELECT DISTINCT VALUE x FROM [{'a': 1, 'b': 2}, {'b': 2, 'a': 1}] x")
+        assert got == [{"a": 1, "b": 2}]
+
+    def test_distinct_keeps_arrays_of_distinct_values_apart(self):
+        got = run("SELECT DISTINCT VALUE x FROM [[1, 2], [1.0, 2], [2, 1], [true, 2]] x")
+        assert got == [[1, 2], [2, 1], [True, 2]]
+
+    def test_group_by_keeps_true_apart_from_one(self):
+        got = run("SELECT x AS k, count(*) AS n FROM [1, 1.0, true] x GROUP BY x")
+        assert got == [{"k": 1, "n": 2}, {"k": True, "n": 1}]
+
+    def test_group_by_object_values_ignores_field_order(self):
+        rows = "[{'o': {'a': 1, 'b': 2}}, {'o': {'b': 2, 'a': 1}}, {'o': {'a': 2}}]"
+        got = run(f"SELECT r.o AS o, count(*) AS n FROM {rows} r GROUP BY r.o")
+        assert got == [{"o": {"a": 1, "b": 2}, "n": 2}, {"o": {"a": 2}, "n": 1}]
+
+
 class TestDatasetEdgeCases:
     def test_two_scans_of_same_dataset(self):
         ds = Dataset("D", open_type("T", id="int64"), "id", validate=False)

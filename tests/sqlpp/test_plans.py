@@ -12,13 +12,12 @@ import gc
 
 import pytest
 
-import repro.sqlpp.evaluator as evaluator_module
 import repro.sqlpp.plans as plans_module
 from repro.core.system import AsterixLite
 from repro.errors import IndexError_
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
-from repro.sqlpp import EvaluationContext, Evaluator, parse_function
+from repro.sqlpp import EvaluationContext, parse_function
 from repro.sqlpp.plans import PlanCache
 from repro.storage import IndexKind
 
@@ -49,29 +48,14 @@ def test_zero_per_record_analysis_after_warmup(
         _counting(plans_module.free_vars, counter, "free_vars"),
     )
     monkeypatch.setattr(
-        evaluator_module,
-        "free_vars",
-        _counting(evaluator_module.free_vars, counter, "free_vars"),
-    )
-    monkeypatch.setattr(
         plans_module,
         "split_conjuncts",
         _counting(plans_module.split_conjuncts, counter, "split_conjuncts"),
     )
     monkeypatch.setattr(
-        evaluator_module,
-        "split_conjuncts",
-        _counting(evaluator_module.split_conjuncts, counter, "split_conjuncts"),
-    )
-    monkeypatch.setattr(
         plans_module,
         "order_terms",
         _counting(plans_module.order_terms, counter, "order_terms"),
-    )
-    monkeypatch.setattr(
-        Evaluator,
-        "_order_terms",
-        _counting(Evaluator._order_terms, counter, "order_terms"),
     )
 
     for batch in range(3):

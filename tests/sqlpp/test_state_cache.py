@@ -227,30 +227,6 @@ class TestEvaluatorIntegration:
         after = self._invoke(registry, ctx, sample_tweet)
         assert after[0]["safety_rating"] == ["1"]
 
-    def test_interpreted_path_uses_cache_too(
-        self, small_catalog, registry, sample_tweet
-    ):
-        ctx = EvaluationContext(
-            small_catalog, functions=registry, use_plans=False
-        )
-        ctx.state_cache = StateCache(budget_bytes=8 << 20)
-        planned_ctx = EvaluationContext(small_catalog, functions=registry)
-        planned_ctx.state_cache = StateCache(budget_bytes=8 << 20)
-        for c in (ctx, planned_ctx):
-            registry.invoke("enrichTweetQ1", [sample_tweet], c)
-            c.refresh_batch()
-            c.shared_meter.reset()
-        out_interp = registry.invoke("enrichTweetQ1", [sample_tweet], ctx)
-        out_planned = registry.invoke(
-            "enrichTweetQ1", [sample_tweet], planned_ctx
-        )
-        assert out_interp == out_planned
-        assert ctx.shared_meter.state_cache_hits > 0
-        assert (
-            ctx.shared_meter.state_cache_hits
-            == planned_ctx.shared_meter.state_cache_hits
-        )
-
     def test_no_cache_attached_means_no_counters(
         self, small_catalog, registry, sample_tweet
     ):
