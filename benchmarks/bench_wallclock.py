@@ -11,9 +11,9 @@ Usage::
 
 Exits non-zero if columnar evaluation is slower than planned, or — with
 ``--baseline BENCH_wallclock.json`` — if calibration-normalized planned
-throughput dropped more than ``--planned-baseline-tolerance`` (default
-30%) or the columnar/planned speedup ratio dropped more than
-``--baseline-tolerance`` (default 20%) against the recorded baseline.
+throughput dropped more than 30% or the columnar/planned speedup ratio
+dropped more than ``--baseline-tolerance`` (default 20%) against the
+recorded baseline.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: allowed fractional drop in calibration-normalized planned throughput vs
+#: the baseline (generous: the normalization removes machine speed, not
+#: scheduler noise)
+PLANNED_BASELINE_TOLERANCE = 0.30
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
@@ -54,14 +59,6 @@ def main(argv=None) -> int:
         default=0.20,
         help="allowed fractional drop in the columnar/planned speedup "
         "ratio vs the baseline",
-    )
-    parser.add_argument(
-        "--planned-baseline-tolerance",
-        type=float,
-        default=0.30,
-        help="allowed fractional drop in calibration-normalized planned "
-        "throughput vs the baseline (generous: the normalization removes "
-        "machine speed, not scheduler noise)",
     )
     args = parser.parse_args(argv)
 
@@ -107,16 +104,16 @@ def main(argv=None) -> int:
         recorded_planned = recorded_aggregate.get("planned_normalized_throughput")
         if recorded_planned:
             current = aggregate["planned_normalized_throughput"]
-            floor = recorded_planned * (1.0 - args.planned_baseline_tolerance)
+            floor = recorded_planned * (1.0 - PLANNED_BASELINE_TOLERANCE)
             print(
                 f"  baseline planned normalized {recorded_planned:.1f} "
-                f"(floor {floor:.1f} at {args.planned_baseline_tolerance:.0%} "
+                f"(floor {floor:.1f} at {PLANNED_BASELINE_TOLERANCE:.0%} "
                 f"tolerance) -> current {current:.1f}"
             )
             if current < floor:
                 print(
                     "FAIL: planned throughput regressed more than "
-                    f"{args.planned_baseline_tolerance:.0%} vs {args.baseline}",
+                    f"{PLANNED_BASELINE_TOLERANCE:.0%} vs {args.baseline}",
                     file=sys.stderr,
                 )
                 return 1
