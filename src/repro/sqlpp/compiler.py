@@ -224,7 +224,9 @@ class QueryCompiler:
 
         def env_for(binding: dict) -> Env:
             if grouped:
-                return self._group_env(plan, binding)
+                members = [Env(dict(member)) for member in binding["__group__"]]
+                keys = binding["__keys__"] or ()
+                return evaluator._group_env(plan, Env(), members, keys)
             return Env(dict(binding))
 
         def project(binding: dict):
@@ -268,20 +270,6 @@ class QueryCompiler:
         )
         spec.connect(upstream, projector, OneToOne())
         return projector
-
-    @staticmethod
-    def _group_env(plan, group_record: dict) -> Env:
-        env = Env({})
-        env.group = [Env(dict(binding)) for binding in group_record["__group__"]]
-        env.group_key_values = {}
-        keys = group_record["__keys__"] or ()
-        for (expr, alias, default_name, _fn), value in zip(plan.group_keys, keys):
-            env.group_key_values[expr] = value
-            if alias:
-                env.vars[alias] = value
-            elif default_name:
-                env.vars.setdefault(default_name, value)
-        return env
 
 
 def run_insert(

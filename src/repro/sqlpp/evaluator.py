@@ -743,7 +743,7 @@ class Evaluator:
         items = plan.order_items
         if len(items) == 1:
             # Single key: skip the _OrderKey wrappers — a stable C-level
-            # sort on the raw _sort_key tuple with ``reverse`` for DESC is
+            # sort on the raw sort_key tuple with ``reverse`` for DESC is
             # order-identical (ties keep input order either way).
             fn, descending = items[0]
             pairs = [
@@ -792,25 +792,30 @@ class Evaluator:
             group_order.append(((), ()))
             groups[()] = []
 
-        group_envs: List[Env] = []
-        for hashable, key in group_order:
-            members = groups[hashable]
-            genv = scope.child()
-            genv.group = members
-            genv.group_key_values = {}
-            for (expr, alias, default_name, _fn), value in zip(plan.group_keys, key):
-                genv.group_key_values[expr] = value
-                if alias:
-                    genv.vars[alias] = value
-                elif default_name:
-                    # allow referring to the key by its last path component
-                    genv.vars.setdefault(default_name, value)
-            group_envs.append(genv)
+        group_envs = [
+            self._group_env(plan, scope, groups[hashable], key)
+            for hashable, key in group_order
+        ]
 
         rows = [self._planned_project(plan, genv) for genv in group_envs]
         if plan.order_items:
             rows = self._planned_sorted_rows(plan, group_envs, rows)
         return rows
+
+    @staticmethod
+    def _group_env(plan: SelectPlan, scope: Env, members: List[Env], key) -> Env:
+        """The env one group's SELECT and ORDER BY evaluate in."""
+        genv = scope.child()
+        genv.group = members
+        genv.group_key_values = {}
+        for (expr, alias, default_name, _fn), value in zip(plan.group_keys, key):
+            genv.group_key_values[expr] = value
+            if alias:
+                genv.vars[alias] = value
+            elif default_name:
+                # allow referring to the key by its last path component
+                genv.vars.setdefault(default_name, value)
+        return genv
 
     def _planned_project(self, plan: SelectPlan, env: Env):
         if plan.select_value_fn is not None:

@@ -119,9 +119,10 @@ def sort_key(value):
 def equality_key(value):
     """Hashable key under which DISTINCT and GROUP BY treat values as equal.
 
-    Scalars key exactly as :func:`sort_key` (``1`` meets ``1.0``, ``true``
-    stays apart from ``1``); arrays key element-wise and objects by their
-    fields sorted by name, so field order does not split equal objects.
+    Scalars key as :func:`sort_key` does (``1`` meets ``1.0``, ``true``
+    stays apart from ``1``), except that integral floats key as ints;
+    arrays key element-wise and objects by their fields sorted by name,
+    so field order does not split equal objects.
     """
     if isinstance(value, list):
         return (6, tuple(equality_key(item) for item in value))
@@ -130,6 +131,10 @@ def equality_key(value):
             7,
             tuple(sorted((name, equality_key(item)) for name, item in value.items())),
         )
+    if isinstance(value, float) and value.is_integer():
+        # Canonical under repr too: hash partitioning routes on the repr
+        # of this key, so equal ``1`` and ``1.0`` must print alike.
+        return (3, int(value))
     return sort_key(value)
 
 

@@ -123,6 +123,21 @@ class TestGroupKeyEquality:
         assert got == [1, 3]
         assert got == sorted(row["n"] for row in interpret(catalog, query))
 
+    def test_int_and_integral_float_keys_form_one_group(self):
+        # 1 and 1.0 (also 2/2.0, 4/4.0) have different reprs, and the
+        # group-by exchange hash-partitions on the repr of the key.
+        ds = Dataset("Nums", open_type("T", id="int64"), "id", num_partitions=3,
+                     validate=False)
+        for i, w in enumerate([1, 1.0, 2, 2.0, 4, 4.0]):
+            ds.insert({"id": i, "w": w})
+        catalog = {"Nums": ds}
+        query = "SELECT n.w AS w, count(*) AS c FROM Nums n GROUP BY n.w"
+        compiled = QueryCompiler(Cluster(3), catalog).compile(parse_expression(query))
+        assert compiled.strategy == "hyracks"
+        got = compiled.execute()
+        assert sorted(row["w"] for row in got) == [1, 2, 4]
+        assert all(row["c"] == 2 for row in got)
+
 
 class TestRunInsert:
     def test_insert_job_routes_and_counts(self, setup):
